@@ -44,7 +44,8 @@ def s_value(m: int, i: int, xbar: Sequence[float]) -> float:
 
     `xbar` supplies the fluctuation values X1..Xm (index 0 unused or absent:
     we accept either a 1-based list of length m+1 with a dummy slot 0, or a
-    0-based list [X1, ..., Xm]).
+    0-based list [X1, ..., Xm]).  The values may be floats or equal-shape
+    arrays; arrays are combined elementwise (one S value per path or time).
     """
     comps = compositions(m, i)
     if not comps:

@@ -1,10 +1,12 @@
 """Monte Carlo estimators for the expansion coefficients and rate fitting.
 
-Paths are partitioned into a fixed number of batches; batch b draws its
-increments from a counter-based substream keyed by (seed, b), and the
-final reduction runs over batches in index order.  The result is
-therefore bitwise identical no matter how many workers execute the
-batches.  Standard errors come from batch means (>= 20 batches).
+`mc_multi` is the one engine: every estimator is a set of named per-path
+quantities over a single simulation.  Paths are partitioned into a fixed
+number of batches; batch b draws its increments from a counter-based
+substream keyed by (seed, b), and the final reduction runs over batches
+in index order.  The result is therefore bitwise identical no matter how
+many workers execute the batches.  Standard errors come from batch means
+(>= 20 batches).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import compositions, taylor_weights
+from .combinatorics import s_value, taylor_weights
 from .hierarchy import InitialLaw, SimConfig, path_rng, simulate_batch
 from .observables import Observable
 
@@ -78,11 +80,18 @@ def _run_batches(worker: Callable[[int, int], tuple], sizes: Sequence[int], work
     return slots
 
 
-def _combine(slots, n_paths: int) -> McEstimate:
-    """Batch-means reduction of per-batch (sum, count, aborted) triples."""
+def _combine(slots, n_paths: int, name) -> McEstimate:
+    """Batch-means reduction of per-batch (sum, count, aborted) triples.
+
+    Batches that kept no paths (all masked out or aborted) carry no batch
+    mean and are left out of the reduction.
+    """
     aborted = sum(s[2] for s in slots)
     if aborted > MAX_ABORT_FRACTION * n_paths:
         raise EstimationError(f"{aborted} of {n_paths} paths aborted")
+    slots = [s for s in slots if s[1] > 0]
+    if not slots:
+        raise EstimationError(f"no retained paths for quantity {name!r}")
     means = np.array([s[0] / s[1] for s in slots])
     counts = np.array([float(s[1]) for s in slots])
     total = float(np.add.reduce([s[0] for s in slots]))
@@ -94,26 +103,8 @@ def _combine(slots, n_paths: int) -> McEstimate:
     stderr = float(np.sqrt(var_means / n_b))
     if not np.isfinite(value):
         raise EstimationError("estimate is not finite")
-    return McEstimate(value=value, stderr=stderr, n_paths=n_paths, n_batches=n_b)
-
-
-def mc_mean(values_fn, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-            slice_steps: Sequence[int], *, with_xfull: bool, n_batches: int = 40,
-            workers: int = 1) -> McEstimate:
-    """Generic batched MC mean of a per-path functional.
-
-    `values_fn(batch_result) -> (n,) array`; NaNs from aborted paths are
-    excluded (the run errors out if more than 0.1% abort).
-    """
-    sizes = batch_layout(n_paths, n_batches)
-
-    def worker(b, size):
-        res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, with_xfull=with_xfull)
-        vals = np.asarray(values_fn(res), dtype=float)
-        keep = ~res.aborted
-        return float(np.add.reduce(vals[keep])), int(keep.sum()), int(res.aborted.sum())
-
-    return _combine(_run_batches(worker, sizes, workers), n_paths)
+    return McEstimate(value=value, stderr=stderr, n_paths=sum(s[1] for s in slots),
+                      n_batches=n_b)
 
 
 def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
@@ -122,14 +113,16 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
     """Batched MC means of several per-path functionals from one simulation.
 
     `quantities` maps name -> values_fn(batch_result) or
-    (values_fn, mask_fn); masked-out paths are excluded from that
-    quantity's mean (used for sign-conditioning by rejection).
+    (values_fn, mask_fn); NaNs from aborted paths are excluded (the run
+    errors out if more than 0.1% abort), and masked-out paths are excluded
+    from that quantity's mean (used for sign-conditioning by rejection).
     """
     sizes = batch_layout(n_paths, n_batches)
     names = list(quantities)
 
     def worker(b, size):
         res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, with_xfull=with_xfull)
+        n_aborted = int(res.aborted.sum())
         out = []
         for name in names:
             q = quantities[name]
@@ -138,17 +131,20 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
             keep = ~res.aborted
             if mask_fn is not None:
                 keep = keep & np.asarray(mask_fn(res), dtype=bool)
-            out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), int(res.aborted.sum())))
+            out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), n_aborted))
         return out
 
     slots = _run_batches(worker, sizes, workers)
-    result = {}
-    for idx, name in enumerate(names):
-        per_batch = [s[idx] for s in slots]
-        if sum(p[1] for p in per_batch) == 0:
-            raise EstimationError(f"no retained paths for quantity {name!r}")
-        result[name] = _combine(per_batch, n_paths)
-    return result
+    return {name: _combine([s[idx] for s in slots], n_paths, name)
+            for idx, name in enumerate(names)}
+
+
+def mc_mean(values_fn, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
+            slice_steps: Sequence[int], *, with_xfull: bool, n_batches: int = 40,
+            workers: int = 1) -> McEstimate:
+    """Batched MC mean of one per-path functional `values_fn(batch_result)`."""
+    return mc_multi({"mean": values_fn}, cfg, law, n_paths, seed, slice_steps,
+                    with_xfull=with_xfull, n_batches=n_batches, workers=workers)["mean"]
 
 
 def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
@@ -165,6 +161,20 @@ def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
             vs = [res.xbar_at(step, j) for j in comp]
             out += float(w) * F.apply_derivative_batch(i, x0, vs)
     return out
+
+
+def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
+    """(values_fn, mask_fn) of S_{m,i} at a grid step given sign(xi_0) (d = 1)."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+
+    def values(res):
+        return s_value(m, i, [None] + [res.xbar_at(step, j)[:, 0] for j in range(1, m + 1)])
+
+    def wanted(res):
+        return res.xi0[:, 0] > 0 if sign == "+" else res.xi0[:, 0] < 0
+
+    return values, wanted
 
 
 def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
@@ -204,23 +214,27 @@ def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law
                    n_batches=n_batches, workers=workers)
 
 
-def estimate_strong_remainder_sq(m: int, t: float, cfg: SimConfig, law: InitialLaw,
-                                 n_paths: int, seed: int, n_batches: int = 40,
-                                 workers: int = 1) -> McEstimate:
-    """MC estimate of E |w_{eps,m}(t)|^2 at grid time t."""
-    if not 0 <= m <= cfg.order:
-        raise ValueError(f"m must be in [0, {cfg.order}]")
+def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_paths: int,
+                                 seed: int, n_batches: int = 40,
+                                 workers: int = 1) -> List[McEstimate]:
+    """MC estimates of E |w_{eps,m}(t)|^2 at grid time t for m = 0..cfg.order.
+
+    Every order is read off the same simulated paths.
+    """
     step = cfg.grid_index(t)
 
-    def values(res):
-        acc = res.xfull[step].copy()
-        for k in range(m + 1):
-            acc -= cfg.eps ** (k / 2.0) * res.xbar_at(step, k)
-        acc /= cfg.eps ** (m / 2.0)
-        return np.sum(acc * acc, axis=1)
+    def w_sq(m):
+        def values(res):
+            acc = res.xfull[step].copy()
+            for k in range(m + 1):
+                acc -= cfg.eps ** (k / 2.0) * res.xbar_at(step, k)
+            acc /= cfg.eps ** (m / 2.0)
+            return np.sum(acc * acc, axis=1)
+        return values
 
-    return mc_mean(values, cfg, law, n_paths, seed, [step], with_xfull=True,
-                   n_batches=n_batches, workers=workers)
+    out = mc_multi({m: w_sq(m) for m in range(cfg.order + 1)}, cfg, law, n_paths, seed,
+                   [step], with_xfull=True, n_batches=n_batches, workers=workers)
+    return [out[m] for m in range(cfg.order + 1)]
 
 
 def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: InitialLaw,
@@ -231,29 +245,9 @@ def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: Initia
         raise ValueError("conditional S estimation requires d = 1")
     if not 1 <= i <= m <= cfg.order:
         raise ValueError("need 1 <= i <= m <= order")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     step = cfg.grid_index(t)
-    sizes = batch_layout(n_paths, n_batches)
-
-    def worker(b, size):
-        res = simulate_batch(cfg, law, size, path_rng(seed, b), [step], with_xfull=False)
-        s = np.zeros(size)
-        for comp in compositions(m, i):
-            prod = np.ones(size)
-            for j in comp:
-                prod = prod * res.xbar_at(step, j)[:, 0]
-            s += prod
-        wanted = res.xi0[:, 0] > 0 if sign == "+" else res.xi0[:, 0] < 0
-        keep = wanted & ~res.aborted
-        return float(np.add.reduce(s[keep])), int(keep.sum()), int(res.aborted.sum())
-
-    slots = _run_batches(worker, sizes, workers)
-    retained = sum(s[1] for s in slots)
-    if retained == 0:
-        raise EstimationError(f"no paths with sign {sign} of xi_0")
-    est = _combine(slots, n_paths)
-    return McEstimate(value=est.value, stderr=est.stderr, n_paths=retained, n_batches=est.n_batches)
+    return mc_multi({"S": conditional_s(m, i, step, sign)}, cfg, law, n_paths, seed, [step],
+                    with_xfull=False, n_batches=n_batches, workers=workers)["S"]
 
 
 def fit_power_law(xs, ys) -> RateFit:

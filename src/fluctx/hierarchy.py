@@ -2,7 +2,7 @@
 
 One shared Brownian path drives everything: the noisy trajectory (Euler-
 Maruyama with additive noise sqrt(2 eps) dW), the deterministic leading
-order (exact flow by default), the first-order linear SDE (diffusion
+order (exact flow), the first-order linear SDE (diffusion
 sqrt(2) dW), and the higher orders, which are linear ODEs forced by
 products of lower-order fluctuations over integer compositions.
 
@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import combinatorics
-from .model import flow_exact_batch
 
 NAN_CHECK_STRIDE = 25
 
@@ -41,8 +40,6 @@ class SimConfig:
     eps: float
     dt: float
     t_final: float
-    scheme: str = "euler_maruyama"
-    x0_mode: str = "exact_flow"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -55,10 +52,6 @@ class SimConfig:
             raise ValueError("dt must be in (0, 1e-2]")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
-        if self.scheme != "euler_maruyama":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.x0_mode not in ("exact_flow", "integrated"):
-            raise ValueError(f"unknown x0_mode {self.x0_mode!r}")
 
     @property
     def n_steps(self) -> int:
@@ -288,11 +281,7 @@ def simulate_batch(
             xbar[m - 1] += (_linearized_apply(x0, xbar[m - 1]) - _forcing(x0, [None] + xbar, m)) * dt
         if cfg.order >= 1:
             xbar[0] += _linearized_apply(x0, xbar[0]) * dt + sqrt2 * dW
-        if cfg.x0_mode == "exact_flow":
-            x0 = xi0 / np.sqrt(r2_xi0 + (1.0 - r2_xi0) * np.exp(-2.0 * step * dt))
-        else:
-            r2 = np.sum(x0 * x0, axis=1, keepdims=True)
-            x0 = x0 + (1.0 - r2) * x0 * dt
+        x0 = xi0 / np.sqrt(r2_xi0 + (1.0 - r2_xi0) * np.exp(-2.0 * step * dt))
         if step % NAN_CHECK_STRIDE == 0 or step in want or step == cfg.n_steps:
             check(step)
         if step in want:
@@ -355,11 +344,4 @@ def s_path(path: FluctuationPath, m: int, i: int) -> np.ndarray:
         raise ValueError("s_path requires d = 1")
     if not 1 <= i <= m <= path.order:
         raise ValueError("need 1 <= i <= m <= order")
-    series = [None] + [path.xbar[k][:, 0] for k in range(1, m + 1)]
-    out = np.zeros(len(path.times))
-    for comp in combinatorics.compositions(m, i):
-        prod = np.ones(len(path.times))
-        for j in comp:
-            prod = prod * series[j]
-        out += prod
-    return out
+    return combinatorics.s_value(m, i, [None] + [path.xbar[k][:, 0] for k in range(1, m + 1)])

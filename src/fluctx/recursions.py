@@ -17,16 +17,14 @@ meaningful.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Tuple
 
+from .combinatorics import MAX_ORDER
 from .observables import Observable
-
-MAX_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,6 @@ class RationalTable:
             and self.get(*k, barred=True) == other.get(*k, barred=True)
             for k in keys
         )
-
-    def dump_csv(self, path) -> None:
-        """CSV dump: one row per (family, m, i, numerator, denominator)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["family", "m", "i", "numerator", "denominator"])
-            for (m, i), v, vbar in self.entries():
-                w.writerow([self.family, m, i, v.numerator, v.denominator])
-                w.writerow([self.family + "bar", m, i, vbar.numerator, vbar.denominator])
 
 
 def _check_order(n: int) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from fluctx.cli import (
     parse_config,
     run_experiment,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name="config.json", **fields):
@@ -125,6 +128,40 @@ class TestRunExperiment:
         with open(out / "results.csv") as fh:
             rows = list(csv.reader(fh))
         assert any(r[-1] == "false" for r in rows[1:])
+
+
+    def test_longtime_reference_follows_the_law(self, tmp_path):
+        # xi_0 = +1 always: b_2(x1) = c_{2,1} = -3/4, not the symmetric law's 0.
+        # The early times keep the S_22 gaps clear of the noise for the rate fit.
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(
+            tmp_path, experiment="longtime_scalar", order=3, eps_grid=[0.1],
+            time_grid=[0.1, 0.2, 0.3, 0.4], dt=0.01, n_paths=2000,
+            initial_law={"kind": "deterministic_point", "point": [1.0]},
+            observable="x1", output_dir=str(out)))
+        run_experiment(cfg)
+        with open(out / "results.csv") as fh:
+            rows = {r["params"]: r for r in csv.DictReader(fh)}
+        assert rows["S22_rate"]["passed"] == "true"
+        for t in ("0.1", "0.2", "0.3", "0.4"):
+            assert float(rows[f"a2(t={t})"]["reference"]) == -0.75
+            assert float(rows[f"a1(t={t})"]["reference"]) == 0.0
+
+    def test_failed_rate_fit_is_a_failed_row(self, tmp_path):
+        # at 4000 paths fewer than 4 window times clear 5 stderr
+        out = tmp_path / "out"
+        doc = json.loads((CONFIG_DIR / "longtime_scalar.json").read_text())
+        doc.update(n_paths=4000, dt=0.01, output_dir=str(out))
+        cfg = parse_config(write_config(tmp_path, **doc))
+        assert run_experiment(cfg) == 2
+        with open(out / "results.csv") as fh:
+            rows = {r["params"]: r for r in csv.DictReader(fh)}
+        times = ("1", "1.25", "1.5", "1.75", "2", "3", "4", "5")
+        expected = {f"S22_plus(t={t})" for t in times} | {"S22_limit(t=4)", "S22_rate"}
+        expected |= {f"a{m}(t={t})" for m in (1, 2, 3) for t in times}
+        assert set(rows) == expected
+        assert rows["S22_rate"]["estimate"] == "nan"
+        assert rows["S22_rate"]["passed"] == "false"
 
 
 class TestDeterminism:

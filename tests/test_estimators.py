@@ -12,6 +12,7 @@ from fluctx.estimators import (
     estimate_weak_remainder,
     fit_exponential_rate,
     fit_power_law,
+    mc_multi,
 )
 from fluctx.hierarchy import InitialLaw, SimConfig
 from fluctx.model import flow_exact
@@ -139,18 +140,22 @@ class TestStrongRemainder:
     def test_orders_improve_with_m(self):
         eps_grid = [0.05, 0.02, 0.01, 0.005]
         cfg_for = lambda eps: _cfg(order=2, eps=eps, dt=2e-3, t_final=2.0)
-        slopes = []
-        for m in (0, 1, 2):
-            vals = [estimate_strong_remainder_sq(m, 2.0, cfg_for(eps), ANNULUS,
-                                                 20000, seed=10).value
-                    for eps in eps_grid]
-            slopes.append(fit_power_law(eps_grid, vals).exponent)
+        per_eps = [estimate_strong_remainder_sq(2.0, cfg_for(eps), ANNULUS, 20000, seed=10)
+                   for eps in eps_grid]
+        slopes = [fit_power_law(eps_grid, [ests[m].value for ests in per_eps]).exponent
+                  for m in (0, 1, 2)]
         assert all(s >= 0.9 for s in slopes)
+
+    def test_one_estimate_per_order(self):
+        cfg = _cfg(order=1, t_final=1.0)
+        ests = estimate_strong_remainder_sq(1.0, cfg, POINT_LAW, 2000, seed=11)
+        assert len(ests) == 2
+        assert all(e.n_paths == 2000 and e.n_batches == 40 for e in ests)
 
     def test_validation(self):
         cfg = _cfg(order=1)
         with pytest.raises(ValueError):
-            estimate_strong_remainder_sq(2, 1.0, cfg, POINT_LAW, 2000, seed=11)
+            estimate_strong_remainder_sq(0.3337, cfg, POINT_LAW, 2000, seed=11)
 
 
 class TestConditionalS:
@@ -202,7 +207,30 @@ class TestAbortPolicy:
         cfg = SimConfig(dim=1, order=0, eps=0.1, dt=1e-2, t_final=1.0)
         law = InitialLaw(kind="deterministic_point", point=(30.0,))
         with pytest.raises(EstimationError):
-            estimate_strong_remainder_sq(0, 1.0, cfg, law, 2000, seed=17)
+            estimate_strong_remainder_sq(1.0, cfg, law, 2000, seed=17)
+
+
+class TestMcMulti:
+    def test_batches_without_retained_paths_are_skipped(self):
+        # 100 paths in 40 batches of 2-3: some batches draw a single sign of
+        # xi_0, keep no paths under the sign mask and carry no batch mean
+        cfg = _cfg(order=1, dt=1e-2, t_final=0.5)
+        law = InitialLaw(kind="symmetric_two_point", point=(1.0,))
+        out = mc_multi({"x0": (lambda res: res.x0[50][:, 0], lambda res: res.xi0[:, 0] > 0),
+                        "all": lambda res: res.x0[50][:, 0] ** 2},
+                       cfg, law, 100, 19, [50], with_xfull=False)
+        plus = out["x0"]
+        assert plus.n_batches < 40
+        assert 0 < plus.n_paths < 100
+        assert plus.value == pytest.approx(1.0)
+        assert out["all"].n_paths == 100 and out["all"].n_batches == 40
+
+    def test_all_masked_out_raises(self):
+        cfg = _cfg(order=1, dt=1e-2, t_final=0.5)
+        law = InitialLaw(kind="deterministic_point", point=(1.0,))
+        with pytest.raises(EstimationError):
+            mc_multi({"minus": (lambda res: res.x0[50][:, 0], lambda res: res.xi0[:, 0] < 0)},
+                     cfg, law, 100, 19, [50], with_xfull=False)
 
 
 class TestFitPowerLaw:

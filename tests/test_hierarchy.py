@@ -45,10 +45,6 @@ class TestSimConfig:
             SimConfig(dim=1, order=2, eps=0.1, dt=0.05, t_final=1.0)
         with pytest.raises(ValueError):
             SimConfig(dim=1, order=2, eps=0.1, dt=1e-2, t_final=1e-3)
-        with pytest.raises(ValueError):
-            SimConfig(dim=1, order=2, eps=0.1, dt=1e-3, t_final=1.0, scheme="milstein")
-        with pytest.raises(ValueError):
-            SimConfig(dim=1, order=2, eps=0.1, dt=1e-3, t_final=1.0, x0_mode="magic")
 
 
 class TestInitialLaw:
@@ -104,14 +100,6 @@ class TestDeterministicDynamics:
         assert np.all(path.xbar[0] == 1.0)
         assert np.all(path.xbar[1] == 0.0)
         assert np.all(path.xbar[2] == 0.0)
-
-    def test_integrated_x0_tracks_exact_flow(self):
-        cfg = SimConfig(dim=1, order=0, eps=0.1, dt=5e-3, t_final=5.0,
-                        x0_mode="integrated")
-        law = InitialLaw(kind="deterministic_point", point=(2.0,))
-        path = simulate_path(cfg, law, _rng(5), zero_noise=True)
-        exact = np.stack([flow_exact_batch(path.xi0[None, :], t)[0] for t in cfg.times])
-        assert np.max(np.abs(path.xbar[0] - exact)) < 10 * cfg.dt
 
     def test_exact_flow_mode_matches_closed_form(self):
         cfg = SimConfig(dim=2, order=0, eps=0.1, dt=1e-2, t_final=2.0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fluctx.cli import _write_tables
 from fluctx.observables import parse_polynomial
 from fluctx.recursions import MAX_ORDER, b_coeff, big_b_coeff, c_table, d_table
 
@@ -133,9 +134,8 @@ class TestBigBCoeff:
 
 class TestDump:
     def test_csv_contains_seed_row(self, tmp_path):
-        path = tmp_path / "tables.csv"
-        c_table(8).dump_csv(path)
-        with open(path) as fh:
+        _write_tables([c_table(8)], tmp_path)
+        with open(tmp_path / "tables.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["family", "m", "i", "numerator", "denominator"]
         assert ["c", "2", "2", "1", "2"] in rows
