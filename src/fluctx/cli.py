@@ -1,11 +1,16 @@
 """Experiment orchestration: JSON configs in, CSV results out.
 
 Each subcommand names an experiment suite; a checked-in config under
-configs/ reproduces the corresponding desk-scale check.  Outputs are
-results.csv (one row per estimate or check), tables.csv (exact rational
-tables, when the experiment produces them) and manifest.json (config
-echo, versions, seed, wall time).  Exit code 0 iff every pass flag is
-true, 2 if any check fails, 1 on runtime/config errors.
+configs/ reproduces the corresponding desk-scale check.  An experiment is
+a function cfg -> (requests, checks): each request holds the arguments of
+one `mc_multi` call, and `checks` turns the estimates into result rows.
+Building the plan reads the whole config, so `--dry-run` rejects a bad
+config before any Monte Carlo; `run_experiment` runs and times each
+request.  Outputs are results.csv (one row per estimate or check),
+tables.csv (exact rational tables, when the experiment produces them) and
+manifest.json (config echo, versions, seed, wall time, seconds per request
+and for the checks).  Exit code 0 iff every pass flag is true, 2 if any
+check fails, 1 on runtime/config errors.
 
 results.csv is byte-identical across reruns of the same config for any
 worker count; volatile quantities (wall times) go to manifest.json only.
@@ -20,7 +25,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import List, Optional
 
@@ -38,25 +43,17 @@ from .equilibrium import (
 from .estimators import (
     a_functional,
     conditional_s,
-    estimate_strong_remainder_sq,
-    estimate_weak_remainder,
     fit_exponential_rate,
     fit_power_law,
     mc_multi,
+    strong_remainder_sq,
+    weak_remainder,
 )
+# not called here: benchmark/tracer.py looks these names up in this module
+from .estimators import estimate_strong_remainder_sq, estimate_weak_remainder
 from .hierarchy import InitialLaw, SimConfig
 from .observables import Observable, ParseError, parse_polynomial
 from .recursions import b_coeff, big_b_coeff, c_table, d_table
-
-EXPERIMENTS = (
-    "strong_rates",
-    "weak_rates",
-    "longtime_scalar",
-    "recursion_tables",
-    "equilibrium_check",
-    "consistency",
-    "vector_divergence",
-)
 
 RESULT_COLUMNS = ["experiment", "params", "estimate", "stderr", "reference", "provenance", "passed"]
 
@@ -159,7 +156,7 @@ def parse_config(path) -> ExperimentConfig:
         clean[key] = value
     if clean["experiment"] not in EXPERIMENTS:
         raise ConfigError(
-            f"experiment must be one of {EXPERIMENTS}", "/experiment"
+            f"experiment must be one of {tuple(EXPERIMENTS)}", "/experiment"
         )
     if "eps_grid" in clean:
         for i, e in enumerate(clean["eps_grid"]):
@@ -171,6 +168,9 @@ def parse_config(path) -> ExperimentConfig:
             if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0:
                 raise ConfigError("time_grid entries must be nonnegative", f"/time_grid/{i}")
         clean["time_grid"] = tuple(float(t) for t in clean["time_grid"])
+    for key in ("eps_grid", "time_grid"):
+        if key in clean and not clean[key]:
+            raise ConfigError(f"{key} must not be empty", f"/{key}")
     cfg = ExperimentConfig(**clean)
     if cfg.dim < 1:
         raise ConfigError("dim must be >= 1", "/dim")
@@ -196,27 +196,25 @@ def config_to_document(cfg: ExperimentConfig) -> dict:
 
 @dataclass
 class ResultRow:
-    experiment: str
     params: str
     estimate: float
     stderr: Optional[float]
     reference: Optional[float]
     provenance: str  # paper | derived | trivial | none
     passed: bool
-    runtime: float = 0.0  # seconds; reported in manifest.json, not results.csv
 
     def csv_values(self):
         fmt = lambda v: "" if v is None else repr(float(v))
-        return [self.experiment, self.params, fmt(self.estimate), fmt(self.stderr),
-                fmt(self.reference), self.provenance, str(self.passed).lower()]
+        return [self.params, fmt(self.estimate), fmt(self.stderr), fmt(self.reference),
+                self.provenance, str(self.passed).lower()]
 
 
-def _write_results(rows: List[ResultRow], out_dir: Path) -> None:
+def _write_results(experiment: str, rows: List[ResultRow], out_dir: Path) -> None:
     with open(out_dir / "results.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RESULT_COLUMNS)
         for row in rows:
-            w.writerow(row.csv_values())
+            w.writerow([experiment] + row.csv_values())
 
 
 def _write_tables(tables, out_dir: Path) -> None:
@@ -230,7 +228,7 @@ def _write_tables(tables, out_dir: Path) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
-                    wall_time: float, workers: int) -> None:
+                    wall_time: float, workers: int, runtimes: dict) -> None:
     manifest = {
         "config": config_to_document(cfg),
         "seed": cfg.seed,
@@ -241,7 +239,7 @@ def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
         },
         "workers": workers,
         "wall_time_s": wall_time,
-        "row_runtimes_s": {f"{r.params}": round(r.runtime, 3) for r in rows},
+        "runtimes_s": runtimes,
         "n_rows": len(rows),
         "n_failed": sum(not r.passed for r in rows),
     }
@@ -250,317 +248,345 @@ def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
         fh.write("\n")
 
 
-# -- experiment implementations ------------------------------------------------
+# -- experiment plans: cfg -> (requests, checks(estimates by label)) ----------
 
 
-def _plan(cfg: ExperimentConfig) -> List[str]:
-    """Human-readable operation DAG for --dry-run."""
-    e = cfg.experiment
-    if e == "recursion_tables":
-        return [f"c_table(order={cfg.order})", "check seeds and hand values",
-                "check odd-m rows vanish", "write tables.csv"]
-    if e == "consistency":
-        return [f"c_table(order={cfg.order})", f"d_table(order={cfg.order})",
-                "compare entrywise as exact rationals", "write tables.csv"]
-    if e == "equilibrium_check":
-        return [f"stationarity identity at eps={cfg.eps_grid[0]}",
-                f"quadrature residuals over eps_grid={list(cfg.eps_grid)}",
-                "power-law order fit", "leading-coefficient fit vs table"]
-    if e == "strong_rates":
-        return [f"simulate X_eps + chain to t={max(cfg.time_grid)} over eps_grid={list(cfg.eps_grid)}",
-                f"E|w_m|^2 for m=0..{cfg.order} with {cfg.n_paths} paths",
-                "log-log slope fits"]
-    if e == "weak_rates":
-        return [f"coupled weak remainder v_{cfg.order} over eps_grid={list(cfg.eps_grid)} "
-                f"({cfg.n_paths} paths)",
-                "power-law fit of |v|",
-                f"v_0 re-expansion consistency at eps={cfg.eps_grid[-1]:g} "
-                f"({cfg.n_paths // 5} paths)"]
-    if e == "longtime_scalar":
-        return [f"simulate chain to t={max(cfg.time_grid)} ({cfg.n_paths} paths)",
-                "E[S_22 | xi0>0] at each grid time; exponential rate fit",
-                f"a_1, a_2, a_3 at each grid time ({cfg.n_paths // 4} paths)",
-                "compare a_m limits against the rational table"]
-    if e == "vector_divergence":
-        return [f"simulate chain in d={cfg.dim} to t={max(cfg.time_grid)} ({cfg.n_paths} paths)",
-                "a_2(t, x1) vs closed form; linear-in-t slope fit",
-                "radial variance and tangential dispersion sub-checks"]
-    raise ConfigError(f"unknown experiment {e!r}", "/experiment")
+@dataclass(frozen=True)
+class Request:
+    """One simulation: exactly the arguments of one `mc_multi` call."""
+
+    label: str
+    sim: SimConfig
+    law: InitialLaw
+    n_paths: int
+    seed: int
+    slice_steps: list
+    with_xfull: bool
+    quantities: dict  # name -> values_fn(batch) or (values_fn, mask_fn)
+
+    def __str__(self):
+        return (f"{self.label}: {self.sim}, {self.law.kind} law, {self.n_paths} paths, "
+                f"seed {self.seed}, slice steps {self.slice_steps}, xfull {self.with_xfull}, "
+                f"{len(self.quantities)} quantities")
 
 
-def _run_recursion_tables(cfg, workers):
-    t0 = time.perf_counter()
-    n = max(cfg.order, 8)
-    table = c_table(n)
-    rows = []
-    anchors = [((1, 1), 0, 1, "paper"), ((2, 2), 1, 2, "paper"),
-               ((2, 1), -3, 4, "derived"), ((4, 4), 3, 4, "derived"),
-               ((4, 3), -15, 8, "derived"), ((4, 2), 39, 16, "derived"),
-               ((4, 1), -87, 32, "derived")]
-    for (m, i), num, den, prov in anchors:
-        got = table.get(m, i)
-        rows.append(ResultRow(cfg.experiment, f"c[{m},{i}]", float(got), None,
-                              num / den, prov, got.numerator == num and got.denominator == den))
-    odd_nonzero = sum(
-        1 for (m, i), v, vbar in table.entries() if m % 2 == 1 and (v != 0 or vbar != 0)
-    )
-    rows.append(ResultRow(cfg.experiment, f"odd_m_nonzero_entries(n={n})",
-                          float(odd_nonzero), None, 0.0, "paper", odd_nonzero == 0))
-    dt = time.perf_counter() - t0
-    for r in rows:
-        r.runtime = dt / len(rows)
-    return rows, [table]
-
-
-def _run_consistency(cfg, workers):
-    t0 = time.perf_counter()
-    n = max(cfg.order, 8)
-    ct, dtab = c_table(n), d_table(n)
-    equal = ct.equals(dtab)
-    rows = [ResultRow(cfg.experiment, f"c_equals_d(n={n})", float(equal), None,
-                      1.0, "paper", equal, runtime=time.perf_counter() - t0)]
-    return rows, [ct, dtab]
-
-
-def _run_equilibrium_check(cfg, workers):
-    rows = []
-    F = cfg.parsed_observable()
-    table = d_table(max(cfg.order + 2, 8))
-    t0 = time.perf_counter()
-    defect, scale = stationarity_defect(F, cfg.eps_grid[0])
-    rows.append(ResultRow(cfg.experiment, f"stationarity_defect(eps={cfg.eps_grid[0]:g})",
-                          defect, None, 0.0, "derived", abs(defect) <= 1e-10 * scale,
-                          runtime=time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    for eps in sorted(cfg.eps_grid, reverse=True):
-        value = gibbs_expectation(F, eps, QuadratureSpec.for_eps(eps))
-        pred = sum(eps ** (k / 2.0) * big_b_coeff(k, F, table) for k in range(cfg.order + 1))
-        rows.append(ResultRow(cfg.experiment, f"residual(eps={eps:g})",
-                              value - pred, None, None, "none", True))
-    fit = expansion_residual_order(F, cfg.order, cfg.eps_grid, table)
-    rows.append(ResultRow(cfg.experiment, "residual_order", fit.exponent, None,
-                          1.8, "paper", fit.exponent >= 1.8))
-    coeffs = residual_coefficient_fit(F, cfg.order, cfg.eps_grid, table, degree=3)
-    lead = float(big_b_coeff(cfg.order + 2, F, table))
-    rows.append(ResultRow(cfg.experiment, f"leading_coefficient(eps^{(cfg.order + 2) // 2})",
-                          float(coeffs[0]), None, lead, "derived",
-                          lead != 0 and abs(coeffs[0] - lead) <= 0.1 * abs(lead)))
-    dtphase = time.perf_counter() - t0
-    for r in rows[1:]:
-        r.runtime = dtphase / (len(rows) - 1)
-    return rows, []
-
-
-def _run_strong_rates(cfg, workers):
-    rows = []
+def _law(cfg: ExperimentConfig) -> InitialLaw:
     law = cfg.law()
-    t = max(cfg.time_grid)
-    per_m = {m: [] for m in range(cfg.order + 1)}
-    for eps in sorted(cfg.eps_grid, reverse=True):
-        sim = SimConfig(dim=cfg.dim, order=cfg.order, eps=eps, dt=cfg.dt, t_final=t)
-        t0 = time.perf_counter()
-        ests = estimate_strong_remainder_sq(t, sim, law, cfg.n_paths, cfg.seed, workers=workers)
-        elapsed = time.perf_counter() - t0
-        for m, est in enumerate(ests):
-            per_m[m].append(est.value)
-            rows.append(ResultRow(cfg.experiment, f"E|w_{m}|^2(eps={eps:g},t={t:g})",
-                                  est.value, est.stderr, None, "none", True,
-                                  runtime=elapsed / len(ests)))
-    for m in range(cfg.order + 1):
-        fit = fit_power_law(sorted(cfg.eps_grid, reverse=True), per_m[m])
-        rows.append(ResultRow(cfg.experiment, f"strong_order(m={m})", fit.exponent,
-                              None, 0.9, "paper", fit.exponent >= 0.9))
-    return rows, []
+    if law.point is not None and len(law.point) != cfg.dim:
+        raise ConfigError(f"point has {len(law.point)} components, dim is {cfg.dim}",
+                          "/initial_law/point")
+    return law
 
 
-def _run_weak_rates(cfg, workers):
-    rows = []
-    law = cfg.law()
+def _simulation(cfg: ExperimentConfig, order: int, eps: float):
+    """SimConfig up to the last grid time, and the grid step of each grid time."""
+    t_final = max(cfg.time_grid)
+    try:
+        sim = SimConfig(dim=cfg.dim, order=order, eps=eps, dt=cfg.dt, t_final=t_final)
+    except ValueError as exc:  # parse_config checked dim, order, eps, dt: t_final < dt
+        raise ConfigError(str(exc), f"/time_grid/{cfg.time_grid.index(t_final)}") from exc
+    steps = {}
+    for i, t in enumerate(cfg.time_grid):
+        try:
+            steps[t] = sim.grid_index(t)
+        except ValueError as exc:
+            raise ConfigError(str(exc), f"/time_grid/{i}") from exc
+    return sim, steps
+
+
+def _fit_eps(cfg: ExperimentConfig) -> list:
+    if len(cfg.eps_grid) < 4:
+        raise ConfigError(f"{cfg.experiment} fits a power law over at least 4 eps values",
+                          "/eps_grid")
+    return sorted(cfg.eps_grid, reverse=True)
+
+
+def _recursion_tables(cfg):
+    n = max(cfg.order, 8)
+
+    def checks(est):
+        table = c_table(n)
+        rows = []
+        anchors = [((1, 1), 0, 1, "paper"), ((2, 2), 1, 2, "paper"),
+                   ((2, 1), -3, 4, "derived"), ((4, 4), 3, 4, "derived"),
+                   ((4, 3), -15, 8, "derived"), ((4, 2), 39, 16, "derived"),
+                   ((4, 1), -87, 32, "derived")]
+        for (m, i), num, den, prov in anchors:
+            got = table.get(m, i)
+            rows.append(ResultRow(f"c[{m},{i}]", float(got), None, num / den,
+                                  prov, got.numerator == num and got.denominator == den))
+        odd_nonzero = sum(
+            1 for (m, i), v, vbar in table.entries() if m % 2 == 1 and (v != 0 or vbar != 0)
+        )
+        rows.append(ResultRow(f"odd_m_nonzero_entries(n={n})",
+                              float(odd_nonzero), None, 0.0, "paper", odd_nonzero == 0))
+        return rows, [table]
+
+    return [], checks
+
+
+def _consistency(cfg):
+    n = max(cfg.order, 8)
+
+    def checks(est):
+        ct, dtab = c_table(n), d_table(n)
+        equal = ct.equals(dtab)
+        return [ResultRow(f"c_equals_d(n={n})", float(equal), None,
+                          1.0, "paper", equal)], [ct, dtab]
+
+    return [], checks
+
+
+def _equilibrium_check(cfg):
+    if cfg.dim != 1:
+        raise ConfigError("equilibrium_check is a d = 1 experiment", "/dim")
+    if cfg.order + 2 > MAX_ORDER:
+        raise ConfigError(f"equilibrium_check needs order <= {MAX_ORDER - 2}", "/order")
+    if len(cfg.eps_grid) < 4 or not all(0.005 <= e <= 0.3 for e in cfg.eps_grid):
+        raise ConfigError("equilibrium_check needs at least 4 eps values in [0.005, 0.3]",
+                          "/eps_grid")
     F = cfg.parsed_observable()
+
+    def checks(est):
+        table = d_table(max(cfg.order + 2, 8))
+        defect, scale = stationarity_defect(F, cfg.eps_grid[0])
+        rows = [ResultRow(f"stationarity_defect(eps={cfg.eps_grid[0]:g})",
+                          defect, None, 0.0, "derived", abs(defect) <= 1e-10 * scale)]
+        for eps in sorted(cfg.eps_grid, reverse=True):
+            value = gibbs_expectation(F, eps, QuadratureSpec.for_eps(eps))
+            pred = sum(eps ** (k / 2.0) * big_b_coeff(k, F, table) for k in range(cfg.order + 1))
+            rows.append(ResultRow(f"residual(eps={eps:g})",
+                                  value - pred, None, None, "none", True))
+        fit = expansion_residual_order(F, cfg.order, cfg.eps_grid, table)
+        rows.append(ResultRow("residual_order", fit.exponent, None,
+                              1.8, "paper", fit.exponent >= 1.8))
+        coeffs = residual_coefficient_fit(F, cfg.order, cfg.eps_grid, table, degree=3)
+        lead = float(big_b_coeff(cfg.order + 2, F, table))
+        rows.append(ResultRow(f"leading_coefficient(eps^{(cfg.order + 2) // 2})",
+                              float(coeffs[0]), None, lead, "derived",
+                              lead != 0 and abs(coeffs[0] - lead) <= 0.1 * abs(lead)))
+        return rows, []
+
+    return [], checks
+
+
+def _strong_rates(cfg):
+    law, eps_list = _law(cfg), _fit_eps(cfg)
     t = max(cfg.time_grid)
-    vals = []
-    for eps in sorted(cfg.eps_grid, reverse=True):
-        sim = SimConfig(dim=cfg.dim, order=cfg.order, eps=eps, dt=cfg.dt, t_final=t)
-        t0 = time.perf_counter()
-        est = estimate_weak_remainder(cfg.order, t, F, sim, law, cfg.n_paths, cfg.seed,
-                                      workers=workers)
-        vals.append(abs(est.value))
-        rows.append(ResultRow(cfg.experiment, f"v_{cfg.order}(eps={eps:g},t={t:g})",
-                              est.value, est.stderr, None, "none", True,
-                              runtime=time.perf_counter() - t0))
-    fit = fit_power_law(sorted(cfg.eps_grid, reverse=True), vals)
-    rows.append(ResultRow(cfg.experiment, f"weak_order(m={cfg.order})", fit.exponent,
-                          None, 0.4, "paper", fit.exponent >= 0.4))
+    requests = []
+    for eps in eps_list:
+        sim, steps = _simulation(cfg, cfg.order, eps)
+        requests.append(Request(f"w(eps={eps:g})", sim, law, cfg.n_paths, cfg.seed,
+                                [steps[t]], True, strong_remainder_sq(sim, steps[t])))
+
+    def checks(est):
+        rows, per_m = [], [[] for _ in range(cfg.order + 1)]
+        for eps, req in zip(eps_list, requests):
+            for m, e in est[req.label].items():
+                per_m[m].append(e.value)
+                rows.append(ResultRow(f"E|w_{m}|^2(eps={eps:g},t={t:g})",
+                                      e.value, e.stderr, None, "none", True))
+        for m, values in enumerate(per_m):
+            fit = fit_power_law(eps_list, values)
+            rows.append(ResultRow(f"strong_order(m={m})", fit.exponent,
+                                  None, 0.9, "paper", fit.exponent >= 0.9))
+        return rows, []
+
+    return requests, checks
+
+
+def _weak_rates(cfg):
+    law, F, eps_list = _law(cfg), cfg.parsed_observable(), _fit_eps(cfg)
+    t, m = max(cfg.time_grid), cfg.order
+    requests = []
+    for eps in eps_list:
+        sim, steps = _simulation(cfg, m, eps)
+        requests.append(Request(f"v_{m}(eps={eps:g})", sim, law, cfg.n_paths, cfg.seed,
+                                [steps[t]], True, {"v": weak_remainder(m, F, sim, steps[t])}))
 
     # re-expansion consistency: v_0 against sqrt(eps) a_1 + eps a_2, at the
     # last eps listed in the grid.  The discrepancy is a deterministic
     # O(eps^{3/2}) quantity, so the Monte Carlo resolution (path count) sets
     # the band width; this check runs at a fifth of the configured paths.
-    eps = cfg.eps_grid[-1]
+    eps_c = cfg.eps_grid[-1]
     n_small = max(cfg.n_paths // 5, 1000)
-    sim = SimConfig(dim=cfg.dim, order=cfg.order, eps=eps, dt=cfg.dt, t_final=t)
-    t0 = time.perf_counter()
-    v0 = estimate_weak_remainder(0, t, F, sim, law, n_small, cfg.seed + 1, workers=workers)
-    step = sim.grid_index(t)
-    coeffs = mc_multi(
-        {
-            "a1": lambda res: a_functional(1, F, res, step),
-            "a2": lambda res: a_functional(2, F, res, step),
-        },
-        sim, law, n_small, cfg.seed + 2, [step], with_xfull=False, workers=workers,
-    )
-    a1, a2 = coeffs["a1"], coeffs["a2"]
-    pred = np.sqrt(eps) * a1.value + eps * a2.value
-    combined = float(np.sqrt(v0.stderr ** 2 + eps * a1.stderr ** 2 + eps ** 2 * a2.stderr ** 2))
-    rows.append(ResultRow(cfg.experiment, f"v_0_consistency(eps={eps:g},t={t:g})",
-                          v0.value, combined, pred, "derived",
-                          abs(v0.value - pred) <= 3.0 * combined,
-                          runtime=time.perf_counter() - t0))
-    return rows, []
+    sim, steps = _simulation(cfg, m, eps_c)
+    step = steps[t]
+    v0 = Request(f"v_0(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 1, [step],
+                 True, {"v": weak_remainder(0, F, sim, step)})
+    coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 2,
+                     [step], False, {"a1": lambda res: a_functional(1, F, res, step),
+                                     "a2": lambda res: a_functional(2, F, res, step)})
+
+    def checks(est):
+        rows, vals = [], []
+        for eps, req in zip(eps_list, requests):
+            e = est[req.label]["v"]
+            vals.append(abs(e.value))
+            rows.append(ResultRow(f"v_{m}(eps={eps:g},t={t:g})",
+                                  e.value, e.stderr, None, "none", True))
+        fit = fit_power_law(eps_list, vals)
+        rows.append(ResultRow(f"weak_order(m={m})", fit.exponent,
+                              None, 0.4, "paper", fit.exponent >= 0.4))
+        v, a1, a2 = est[v0.label]["v"], est[coeffs.label]["a1"], est[coeffs.label]["a2"]
+        pred = np.sqrt(eps_c) * a1.value + eps_c * a2.value
+        combined = float(np.sqrt(v.stderr ** 2 + eps_c * a1.stderr ** 2
+                                 + eps_c ** 2 * a2.stderr ** 2))
+        rows.append(ResultRow(f"v_0_consistency(eps={eps_c:g},t={t:g})",
+                              v.value, combined, pred, "derived",
+                              abs(v.value - pred) <= 3.0 * combined))
+        return rows, []
+
+    return requests + [v0, coeffs], checks
 
 
-def _run_longtime_scalar(cfg, workers):
-    rows = []
-    law = cfg.law()
-    F = cfg.parsed_observable()
-    eps = cfg.eps_grid[0]
-    t_final = max(cfg.time_grid)
-    sim = SimConfig(dim=1, order=2, eps=eps, dt=cfg.dt, t_final=t_final)
+def _longtime_scalar(cfg):
+    if cfg.dim != 1:
+        raise ConfigError("longtime_scalar is a d = 1 experiment", "/dim")
+    law, F = _law(cfg), cfg.parsed_observable()
+    if law.kind == "deterministic_point" and law.point[0] < 0:
+        raise ConfigError("S_22 is conditioned on xi_0 > 0, which a negative point never has",
+                          "/initial_law/point")
     times = sorted(cfg.time_grid)
-    steps = [sim.grid_index(t) for t in times]
-    table = c_table(8)
-
-    # phase 1: conditional composition sum S_22 along the time grid
-    t0 = time.perf_counter()
-    qs = {f"s22_{t:g}": conditional_s(2, 2, s) for t, s in zip(times, steps)}
-    s_out = mc_multi(qs, sim, law, cfg.n_paths, cfg.seed, steps, with_xfull=False,
-                     workers=workers)
-    dt1 = time.perf_counter() - t0
     # the rate window is [times[0], 4]: the e^{-t} claim is checked there,
-    # while later grid times only feed the coefficient phase below
+    # while later grid times only feed the coefficient phase
     window = [t for t in times if t <= 4.0] or times
-    gaps, ses = [], []
-    for t in times:
-        est = s_out[f"s22_{t:g}"]
-        if t in window:
-            gaps.append(abs(est.value - 0.5))
-            ses.append(est.stderr)
-        rows.append(ResultRow(cfg.experiment, f"S22_plus(t={t:g})", est.value,
-                              est.stderr, 0.5, "paper", True, runtime=dt1 / len(times)))
-    final = s_out[f"s22_{window[-1]:g}"]
-    rows.append(ResultRow(cfg.experiment, f"S22_limit(t={window[-1]:g})", final.value,
-                          final.stderr, 0.5, "paper", final.agrees_with(0.5)))
-    try:
-        rate = fit_exponential_rate(window, gaps, ses).exponent
-    except ValueError:  # too few window points clear the Monte Carlo noise floor
-        rate = float("nan")
-    rows.append(ResultRow(cfg.experiment, "S22_rate", rate, None, 0.8, "paper", rate >= 0.8))
-
+    if len(window) < 4:
+        raise ConfigError("the S_22 rate fit needs at least 4 grid times up to 4",
+                          "/time_grid")
+    eps = cfg.eps_grid[0]
+    # phase 1: conditional composition sum S_22 along the time grid
+    sim, steps = _simulation(cfg, 2, eps)
+    s22 = Request("S22", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times], False,
+                  {f"s22_{t:g}": conditional_s(2, 2, steps[t]) for t in times})
     # phase 2: weak coefficients a_1..a_3 on an independent, smaller run
-    sim3 = SimConfig(dim=1, order=max(cfg.order, 3), eps=eps, dt=cfg.dt, t_final=t_final)
-    steps3 = [sim3.grid_index(t) for t in times]
-    n_small = max(cfg.n_paths // 4, 1000)
-    qs = {f"a{m}_{t:g}": (lambda res, m=m, s=s: a_functional(m, F, res, s))
-          for m in (1, 2, 3) for t, s in zip(times, steps3)}
-    t0 = time.perf_counter()
-    a_out = mc_multi(qs, sim3, law, n_small, cfg.seed + 1, steps3, with_xfull=False,
-                     workers=workers)
-    dt2 = time.perf_counter() - t0
-    # P(xi_0 > 0): both symmetric kinds put half their mass on each sign
-    p_plus = 0.5 if law.kind != "deterministic_point" else float(law.point[0] > 0)
-    b1, b2, b3 = (b_coeff(m, F, p_plus, table) for m in (1, 2, 3))
-    for t in times:
-        for m, b in ((1, b1), (2, b2), (3, b3)):
-            est = a_out[f"a{m}_{t:g}"]
-            check = est.agrees_with(b) if (m != 2 or t == times[-1]) else True
-            rows.append(ResultRow(cfg.experiment, f"a{m}(t={t:g})", est.value,
-                                  est.stderr, b, "paper", check,
-                                  runtime=dt2 / (3 * len(times))))
-    return rows, []
+    sim3, steps3 = _simulation(cfg, max(cfg.order, 3), eps)
+    coeffs = Request("a_1..a_3", sim3, law, max(cfg.n_paths // 4, 1000), cfg.seed + 1,
+                     [steps3[t] for t in times], False,
+                     {f"a{m}_{t:g}": (lambda res, m=m, s=steps3[t]: a_functional(m, F, res, s))
+                      for m in (1, 2, 3) for t in times})
+    # P(xi_0 > 0): the symmetric kinds put half their mass on each sign
+    p_plus = 1.0 if law.kind == "deterministic_point" else 0.5
+
+    def checks(est):
+        rows, gaps, ses = [], [], []
+        s_out, a_out = est[s22.label], est[coeffs.label]
+        for t in times:
+            e = s_out[f"s22_{t:g}"]
+            if t in window:
+                gaps.append(abs(e.value - 0.5))
+                ses.append(e.stderr)
+            rows.append(ResultRow(f"S22_plus(t={t:g})", e.value, e.stderr, 0.5, "paper", True))
+        final = s_out[f"s22_{window[-1]:g}"]
+        rows.append(ResultRow(f"S22_limit(t={window[-1]:g})", final.value,
+                              final.stderr, 0.5, "paper", final.agrees_with(0.5)))
+        try:
+            rate = fit_exponential_rate(window, gaps, ses).exponent
+        except ValueError:  # too few window points clear the Monte Carlo noise floor
+            rate = float("nan")
+        rows.append(ResultRow("S22_rate", rate, None, 0.8, "paper", rate >= 0.8))
+        table = c_table(8)
+        b = {m: b_coeff(m, F, p_plus, table) for m in (1, 2, 3)}
+        for t in times:
+            for m in (1, 2, 3):
+                e = a_out[f"a{m}_{t:g}"]
+                check = e.agrees_with(b[m]) if (m != 2 or t == times[-1]) else True
+                rows.append(ResultRow(f"a{m}(t={t:g})", e.value, e.stderr, b[m], "paper", check))
+        return rows, []
+
+    return [s22, coeffs], checks
 
 
-def _run_vector_divergence(cfg, workers):
-    rows = []
+def _vector_divergence(cfg):
     d = cfg.dim
     if d < 2:
         raise ConfigError("vector_divergence requires dim >= 2", "/dim")
-    law = cfg.law()
-    F = cfg.parsed_observable()
-    eps = cfg.eps_grid[0]
+    law, F = _law(cfg), cfg.parsed_observable()
     times = sorted(cfg.time_grid)
-    sim = SimConfig(dim=d, order=max(cfg.order, 2), eps=eps, dt=cfg.dt, t_final=max(times))
-    steps = [sim.grid_index(t) for t in times]
+    fit_ts = [t for t in times if t >= 2.0]
+    if len(fit_ts) < 2:
+        raise ConfigError("the a2 slope fit needs at least 2 grid times >= 2", "/time_grid")
+    sim, steps = _simulation(cfg, max(cfg.order, 2), cfg.eps_grid[0])
+    qs = {}
+    for t in times:
+        s = steps[t]
+        qs[f"a2_{t:g}"] = (lambda res, s=s: a_functional(2, F, res, s))
+        qs[f"r1sq_{t:g}"] = (lambda res, s=s: res.xbar_at(s, 1)[:, 0] ** 2)
+        qs[f"v1sq_{t:g}"] = (lambda res, s=s: np.sum(res.xbar_at(s, 1)[:, 1:] ** 2, axis=1))
+    chain = Request("chain", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times],
+                    False, qs)
 
     def closed_a2(t):
         e2, e4 = np.exp(-2 * t), np.exp(-4 * t)
         return -(0.75 * (1 - e2) - 0.75 * (e2 - e4) + (d - 1) * (t - (1 - e2) / 2))
 
-    qs = {}
-    for t, s in zip(times, steps):
-        qs[f"a2_{t:g}"] = (lambda res, s=s: a_functional(2, F, res, s))
-        qs[f"r1sq_{t:g}"] = (lambda res, s=s: res.xbar_at(s, 1)[:, 0] ** 2)
-        qs[f"v1sq_{t:g}"] = (lambda res, s=s: np.sum(res.xbar_at(s, 1)[:, 1:] ** 2, axis=1))
-    t0 = time.perf_counter()
-    out = mc_multi(qs, sim, law, cfg.n_paths, cfg.seed, steps, with_xfull=False,
-                   workers=workers)
-    elapsed = time.perf_counter() - t0
-    for t in times:
-        est = out[f"a2_{t:g}"]
-        ref = closed_a2(t)
-        rows.append(ResultRow(cfg.experiment, f"a2(t={t:g})", est.value, est.stderr,
-                              ref, "derived", est.agrees_with(ref),
-                              runtime=elapsed / (3 * len(times))))
-    fit_ts = [t for t in times if t >= 2.0]
-    slope = float(np.polyfit(fit_ts, [out[f"a2_{t:g}"].value for t in fit_ts], 1)[0])
-    target = -(d - 1.0)
-    rows.append(ResultRow(cfg.experiment, "a2_slope_in_t", slope, None, target,
-                          "paper", abs(slope - target) <= 0.2 * abs(target)))
-    for t in (times[0], times[-1]):
-        est = out[f"r1sq_{t:g}"]
-        ref = (1 - np.exp(-4 * t)) / 2
-        rows.append(ResultRow(cfg.experiment, f"var_r1(t={t:g})", est.value, est.stderr,
-                              ref, "derived", est.agrees_with(ref),
-                              runtime=elapsed / (3 * len(times))))
-        est = out[f"v1sq_{t:g}"]
-        ref = 2.0 * (d - 1) * t
-        rows.append(ResultRow(cfg.experiment, f"E|v1|^2(t={t:g})", est.value, est.stderr,
-                              ref, "derived", est.agrees_with(ref),
-                              runtime=elapsed / (3 * len(times))))
-    return rows, []
+    def checks(est):
+        rows, out = [], est[chain.label]
+        for t in times:
+            e = out[f"a2_{t:g}"]
+            ref = closed_a2(t)
+            rows.append(ResultRow(f"a2(t={t:g})", e.value, e.stderr,
+                                  ref, "derived", e.agrees_with(ref)))
+        slope = float(np.polyfit(fit_ts, [out[f"a2_{t:g}"].value for t in fit_ts], 1)[0])
+        target = -(d - 1.0)
+        rows.append(ResultRow("a2_slope_in_t", slope, None, target,
+                              "paper", abs(slope - target) <= 0.2 * abs(target)))
+        for t in (times[0], times[-1]):
+            e = out[f"r1sq_{t:g}"]
+            ref = (1 - np.exp(-4 * t)) / 2
+            rows.append(ResultRow(f"var_r1(t={t:g})", e.value, e.stderr,
+                                  ref, "derived", e.agrees_with(ref)))
+            e = out[f"v1sq_{t:g}"]
+            ref = 2.0 * (d - 1) * t
+            rows.append(ResultRow(f"E|v1|^2(t={t:g})", e.value, e.stderr,
+                                  ref, "derived", e.agrees_with(ref)))
+        return rows, []
+
+    return [chain], checks
 
 
-_RUNNERS = {
-    "recursion_tables": _run_recursion_tables,
-    "consistency": _run_consistency,
-    "equilibrium_check": _run_equilibrium_check,
-    "strong_rates": _run_strong_rates,
-    "weak_rates": _run_weak_rates,
-    "longtime_scalar": _run_longtime_scalar,
-    "vector_divergence": _run_vector_divergence,
+EXPERIMENTS = {
+    "strong_rates": _strong_rates,
+    "weak_rates": _weak_rates,
+    "longtime_scalar": _longtime_scalar,
+    "recursion_tables": _recursion_tables,
+    "equilibrium_check": _equilibrium_check,
+    "consistency": _consistency,
+    "vector_divergence": _vector_divergence,
 }
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, dry_run: bool = False,
                    stream=None) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Plan one experiment, then print the plan or run it; returns the exit code."""
     stream = stream or sys.stdout
-    if dry_run:
-        print(f"dry run: {cfg.experiment}", file=stream)
-        for step_desc in _plan(cfg):
-            print(f"  - {step_desc}", file=stream)
-        return 0
     t0 = time.perf_counter()
-    rows, tables = _RUNNERS[cfg.experiment](cfg, workers)
+    requests, checks = EXPERIMENTS[cfg.experiment](cfg)
+    if dry_run:
+        print(f"dry run: {cfg.experiment}, {len(requests)} simulation request(s)", file=stream)
+        for req in requests:
+            print(f"  - {req}", file=stream)
+        return 0
+    estimates, runtimes = {}, {}
+    for req in requests:
+        t1 = time.perf_counter()
+        estimates[req.label] = mc_multi(req.quantities, req.sim, req.law, req.n_paths, req.seed,
+                                        req.slice_steps, with_xfull=req.with_xfull,
+                                        workers=workers)
+        runtimes[req.label] = time.perf_counter() - t1
+    t1 = time.perf_counter()
+    rows, tables = checks(estimates)
+    runtimes["checks"] = time.perf_counter() - t1
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_results(rows, out_dir)
+    _write_results(cfg.experiment, rows, out_dir)
     if tables:
         _write_tables(tables, out_dir)
-    _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, workers)
+    _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, workers, runtimes)
     failed = [r for r in rows if not r.passed]
     for r in rows:
         mark = "ok  " if r.passed else "FAIL"
-        print(f"{mark} {r.experiment}:{r.params} = {r.estimate:.6g}"
+        print(f"{mark} {cfg.experiment}:{r.params} = {r.estimate:.6g}"
               + (f" (ref {r.reference:.6g})" if r.reference is not None else ""),
               file=stream)
     return 2 if failed else 0

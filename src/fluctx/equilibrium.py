@@ -2,8 +2,7 @@
 
 All integrals use the shifted weight exp(-(V(x) - V(1))/eps), which is
 bounded by 1, so no underflow occurs even at small eps; the dropped factor
-exp(-V(1)/eps) cancels in every normalized quantity and is reported in
-log-space where the raw partition function is wanted.
+exp(-V(1)/eps) cancels in every normalized quantity.
 """
 
 from __future__ import annotations
@@ -14,15 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import RateFit, fit_power_law
+from .model import potential_value
 from .observables import Observable
 from .recursions import RationalTable, big_b_coeff
 
 V_MIN = -0.25  # V(+-1)
-
-
-def _potential(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    return 0.25 * x2 * x2 - 0.5 * x2
 
 
 @dataclass(frozen=True)
@@ -39,10 +34,6 @@ class QuadratureSpec:
     edges: tuple
     order: int
     tail_bound: float
-
-    @property
-    def panel_count(self) -> int:
-        return len(self.edges) - 1
 
     @classmethod
     def for_eps(cls, eps: float, refine: float = 1.0, order: int = 16) -> "QuadratureSpec":
@@ -84,7 +75,7 @@ def _tail_bound(radius: float, eps: float) -> float:
 
 def _quad(values_fn, eps: float, spec: QuadratureSpec) -> float:
     x, w = spec.nodes_weights()
-    weight = np.exp(-(_potential(x) - V_MIN) / eps)
+    weight = np.exp(-(potential_value(x[:, None]) - V_MIN) / eps)
     # fixed summation order for reproducibility
     return float(np.add.reduce(values_fn(x) * weight * w))
 
@@ -92,18 +83,12 @@ def _quad(values_fn, eps: float, spec: QuadratureSpec) -> float:
 def partition_function(eps: float, spec: QuadratureSpec | None = None) -> float:
     """Shifted partition function: int exp(-(V(x) - V(1))/eps) dx.
 
-    The physical normalizer is exp(-V(1)/eps) times this; use
-    `log_partition_function` when the raw value is needed.
+    The physical normalizer is exp(-V(1)/eps) times this.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     spec = spec or QuadratureSpec.for_eps(eps)
     return _quad(lambda x: np.ones_like(x), eps, spec)
-
-
-def log_partition_function(eps: float, spec: QuadratureSpec | None = None) -> float:
-    """log of int exp(-V(x)/eps) dx, assembled in log-space."""
-    return float(np.log(partition_function(eps, spec)) - V_MIN / eps)
 
 
 def gibbs_expectation(F: Observable, eps: float, spec: QuadratureSpec | None = None) -> float:
@@ -144,7 +129,6 @@ def expansion_residual_order(
     m: int,
     eps_list: Sequence[float],
     table: RationalTable,
-    spec_factory=None,
 ) -> RateFit:
     """Power-law order of the residual after subtracting the expansion to order m.
 
@@ -156,11 +140,9 @@ def expansion_residual_order(
         raise ValueError("need at least 4 eps values")
     if min(eps_list) < 0.005 or max(eps_list) > 0.3:
         raise ValueError("eps values must lie in [0.005, 0.3]")
-    spec_factory = spec_factory or QuadratureSpec.for_eps
     residuals = []
     for eps in eps_list:
-        spec = spec_factory(eps)
-        value = gibbs_expectation(F, eps, spec)
+        value = gibbs_expectation(F, eps, QuadratureSpec.for_eps(eps))
         pred = sum(eps ** (k / 2.0) * big_b_coeff(k, F, table) for k in range(m + 1))
         r = value - pred
         if abs(r) < QUADRATURE_FLOOR * max(1.0, abs(value)):

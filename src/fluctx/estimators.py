@@ -177,6 +177,41 @@ def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
     return values, wanted
 
 
+def weak_remainder(m: int, F: Observable, cfg: SimConfig, step: int):
+    """Per-path scaled weak remainder v_m^eps at a grid step (needs xfull).
+
+    v_m = (E F(X_eps) - sum_{k<=m} eps^{k/2} a_k) / eps^{m/2}, estimated
+    pathwise on coupled noise: the same increments drive X_eps and every
+    a_k integrand, which keeps the variance of the difference small.
+    """
+    if not 0 <= m <= cfg.order:
+        raise ValueError(f"m must be in [0, {cfg.order}]")
+    scale = cfg.eps ** (m / 2.0)
+
+    def values(res):
+        out = F.eval_batch(res.xfull[step])
+        for k in range(m + 1):
+            out = out - cfg.eps ** (k / 2.0) * a_functional(k, F, res, step)
+        return out / scale
+
+    return values
+
+
+def strong_remainder_sq(cfg: SimConfig, step: int) -> dict:
+    """Per-path |w_{eps,m}|^2 at a grid step for m = 0..cfg.order, keyed by m (needs xfull)."""
+
+    def w_sq(m):
+        def values(res):
+            acc = res.xfull[step].copy()
+            for k in range(m + 1):
+                acc -= cfg.eps ** (k / 2.0) * res.xbar_at(step, k)
+            acc /= cfg.eps ** (m / 2.0)
+            return np.sum(acc * acc, axis=1)
+        return values
+
+    return {m: w_sq(m) for m in range(cfg.order + 1)}
+
+
 def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
                n_paths: int, seed: int, n_batches: int = 40, workers: int = 1) -> McEstimate:
     """MC estimate of the m-th weak expansion coefficient at grid time t.
@@ -193,25 +228,10 @@ def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
 def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
                             n_paths: int, seed: int, n_batches: int = 40,
                             workers: int = 1) -> McEstimate:
-    """MC estimate of the scaled weak remainder v_m^eps at grid time t.
-
-    v_m = (E F(X_eps) - sum_{k<=m} eps^{k/2} a_k) / eps^{m/2}, estimated
-    pathwise on coupled noise: the same increments drive X_eps and every
-    a_k integrand, which keeps the variance of the difference small.
-    """
-    if not 0 <= m <= cfg.order:
-        raise ValueError(f"m must be in [0, {cfg.order}]")
+    """MC estimate of the scaled weak remainder v_m^eps at grid time t."""
     step = cfg.grid_index(t)
-    scale = cfg.eps ** (m / 2.0)
-
-    def values(res):
-        out = F.eval_batch(res.xfull[step])
-        for k in range(m + 1):
-            out = out - cfg.eps ** (k / 2.0) * a_functional(k, F, res, step)
-        return out / scale
-
-    return mc_mean(values, cfg, law, n_paths, seed, [step], with_xfull=True,
-                   n_batches=n_batches, workers=workers)
+    return mc_mean(weak_remainder(m, F, cfg, step), cfg, law, n_paths, seed, [step],
+                   with_xfull=True, n_batches=n_batches, workers=workers)
 
 
 def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_paths: int,
@@ -222,19 +242,8 @@ def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_pa
     Every order is read off the same simulated paths.
     """
     step = cfg.grid_index(t)
-
-    def w_sq(m):
-        def values(res):
-            acc = res.xfull[step].copy()
-            for k in range(m + 1):
-                acc -= cfg.eps ** (k / 2.0) * res.xbar_at(step, k)
-            acc /= cfg.eps ** (m / 2.0)
-            return np.sum(acc * acc, axis=1)
-        return values
-
-    out = mc_multi({m: w_sq(m) for m in range(cfg.order + 1)}, cfg, law, n_paths, seed,
-                   [step], with_xfull=True, n_batches=n_batches, workers=workers)
-    return [out[m] for m in range(cfg.order + 1)]
+    return list(mc_multi(strong_remainder_sq(cfg, step), cfg, law, n_paths, seed, [step],
+                         with_xfull=True, n_batches=n_batches, workers=workers).values())
 
 
 def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: InitialLaw,

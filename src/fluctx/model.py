@@ -15,10 +15,10 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-def potential_value(x: np.ndarray) -> float:
-    """V(x) = |x|^4/4 - |x|^2/2."""
+def potential_value(x: np.ndarray):
+    """V(x) = |x|^4/4 - |x|^2/2 at one point (d,) or at points (n, d)."""
     x = np.asarray(x, dtype=float)
-    r2 = float(np.dot(x, x))
+    r2 = np.sum(x * x, axis=-1)
     return 0.25 * r2 * r2 - 0.5 * r2
 
 

@@ -63,10 +63,6 @@ class Observable:
         alpha = tuple(1 if k == j - 1 else 0 for k in range(dim))
         return cls({alpha: 1.0}, dim=dim)
 
-    @classmethod
-    def from_literal(cls, text: str, dim: int) -> "Observable":
-        return parse_polynomial(text, dim)
-
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x: np.ndarray) -> float:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fluctx import cli
 from fluctx.cli import (
     ConfigError,
     config_to_document,
@@ -90,6 +91,45 @@ class TestParseConfig:
             parse_config(tmp_path / "missing.json")
 
 
+ANNULUS = {"kind": "uniform_annulus", "r_min": 0.6, "r_max": 1.4, "higher_std": [1.0]}
+POINT2 = {"kind": "deterministic_point", "point": [1.0, 0.0]}
+STRONG = dict(experiment="strong_rates", eps_grid=[0.05, 0.02, 0.01, 0.005],
+              time_grid=[1.0], dt=0.01, n_paths=2000, initial_law=ANNULUS)
+VECTOR = dict(experiment="vector_divergence", dim=2, eps_grid=[0.1],
+              time_grid=[1.0, 2.0, 3.0], dt=0.01, initial_law=POINT2, observable="x1")
+LONGTIME = dict(experiment="longtime_scalar", eps_grid=[0.1], time_grid=[0.1, 0.2, 0.3, 0.4],
+                dt=0.01, initial_law=ANNULUS, observable="x1^2")
+EQUILIBRIUM = dict(experiment="equilibrium_check", eps_grid=[0.04, 0.025, 0.015, 0.01],
+                   observable="x1^2")
+# (config, JSON pointer): each passes parse_config, and without the plan's
+# checks would fail only at run time, most of them after the Monte Carlo
+LATE_FAILURES = [
+    (dict(VECTOR, dim=1, initial_law={"kind": "deterministic_point", "point": [1.0]}),
+     "/dim"),
+    (dict(VECTOR, time_grid=[1.0, 1.5]), "/time_grid"),
+    (dict(STRONG, eps_grid=[0.05, 0.02, 0.01]), "/eps_grid"),
+    (dict(STRONG, experiment="weak_rates", eps_grid=[0.4, 0.2, 0.1], observable="x1^2"),
+     "/eps_grid"),
+    (dict(EQUILIBRIUM, eps_grid=[0.04, 0.02, 0.01]), "/eps_grid"),
+    (dict(EQUILIBRIUM, eps_grid=[0.5, 0.04, 0.02, 0.01]), "/eps_grid"),
+    (dict(EQUILIBRIUM, dim=2), "/dim"),
+    (dict(EQUILIBRIUM, order=11), "/order"),
+    (dict(LONGTIME, dim=2), "/dim"),
+    (dict(LONGTIME, initial_law={"kind": "deterministic_point", "point": [-1.0]}),
+     "/initial_law/point"),
+    (dict(LONGTIME, time_grid=[0.1, 0.2, 0.3]), "/time_grid"),
+    (dict(VECTOR, time_grid=[1.0, 2.0, 3.005]), "/time_grid/2"),
+    (dict(STRONG, initial_law={"kind": "deterministic_point", "point": [1.0, 0.0]}),
+     "/initial_law/point"),
+    (dict(STRONG, time_grid=[0.005]), "/time_grid/0"),
+    (dict(STRONG, eps_grid=[]), "/eps_grid"),
+]
+# simulation requests per checked-in config
+PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
+                    "recursion_tables": 0, "strong_rates": 4, "vector_divergence_d2": 1,
+                    "vector_divergence_d3": 1, "weak_rates": 6}
+
+
 class TestDryRun:
     def test_plan_only_no_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -97,6 +137,31 @@ class TestDryRun:
         assert main(["recursion_tables", "--config", str(path), "--dry-run"]) == 0
         assert not out.exists()
         assert "dry run" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(PLANNED_REQUESTS))
+    def test_every_config_plans_without_simulating(self, name, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("--dry-run simulated")
+
+        monkeypatch.setattr(cli, "mc_multi", no_simulation)
+        out = tmp_path / "out"
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        path = write_config(tmp_path, **dict(doc, output_dir=str(out)))
+        assert main([doc["experiment"], "--config", str(path), "--dry-run"]) == 0
+        assert not out.exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"dry run: {doc['experiment']}, {PLANNED_REQUESTS[name]} " \
+                           "simulation request(s)"
+        assert len(lines) == 1 + PLANNED_REQUESTS[name]
+        assert all(line.startswith("  - ") for line in lines[1:])
+
+    @pytest.mark.parametrize("fields, pointer", LATE_FAILURES)
+    def test_late_failures_rejected_up_front(self, fields, pointer, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, **dict(fields, output_dir=str(out)))
+        assert main([fields["experiment"], "--config", str(path), "--dry-run"]) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"(at {pointer})")
+        assert not out.exists()
 
 
 class TestRunExperiment:
@@ -162,6 +227,17 @@ class TestRunExperiment:
         assert set(rows) == expected
         assert rows["S22_rate"]["estimate"] == "nan"
         assert rows["S22_rate"]["passed"] == "false"
+
+    def test_manifest_times_each_request(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path, **dict(STRONG, output_dir=str(out))))
+        assert run_experiment(cfg) in (0, 2)
+        manifest = json.loads((out / "manifest.json").read_text())
+        runtimes = manifest["runtimes_s"]
+        assert set(runtimes) == {"w(eps=0.05)", "w(eps=0.02)", "w(eps=0.01)", "w(eps=0.005)",
+                                 "checks"}
+        assert all(v > 0 for v in runtimes.values())
+        assert sum(runtimes.values()) <= manifest["wall_time_s"]
 
 
 class TestDeterminism:

@@ -5,7 +5,6 @@ from fluctx.equilibrium import (
     QuadratureSpec,
     expansion_residual_order,
     gibbs_expectation,
-    log_partition_function,
     partition_function,
     residual_coefficient_fit,
     stationarity_defect,
@@ -62,11 +61,6 @@ class TestPartitionFunction:
         z1 = partition_function(0.05, QuadratureSpec.for_eps(0.05))
         z2 = partition_function(0.05, QuadratureSpec.for_eps(0.05, refine=0.5))
         assert abs(z1 - z2) / z1 < 1e-10
-
-    def test_log_partition_function(self):
-        eps = 0.1
-        expected = np.log(partition_function(eps)) + 0.25 / eps
-        assert log_partition_function(eps) == pytest.approx(expected, rel=1e-14)
 
 
 class TestGibbsExpectation:

@@ -31,6 +31,11 @@ class TestPotential:
     def test_hand_value(self):
         assert potential_value(2 * e1(2)) == pytest.approx(2.0, abs=1e-14)
 
+    def test_batch_matches_points(self):
+        xs = np.random.default_rng(0).normal(size=(5, 3))
+        assert potential_value(xs).shape == (5,)
+        assert list(potential_value(xs)) == [potential_value(x) for x in xs]
+
 
 class TestDrift:
     def test_equilibria(self):
