@@ -25,7 +25,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -34,9 +34,8 @@ import numpy as np
 from . import __version__
 from .combinatorics import MAX_ORDER
 from .equilibrium import (
-    QuadratureSpec,
     expansion_residual_order,
-    gibbs_expectation,
+    expansion_residuals,
     residual_coefficient_fit,
     stationarity_defect,
 )
@@ -50,6 +49,7 @@ from .estimators import (
     weak_remainder,
 )
 # not called here: benchmark/tracer.py looks these names up in this module
+from .equilibrium import gibbs_expectation
 from .estimators import estimate_strong_remainder_sq, estimate_weak_remainder
 from .hierarchy import InitialLaw, SimConfig
 from .observables import Observable, ParseError, parse_polynomial
@@ -261,12 +261,12 @@ class Request:
     n_paths: int
     seed: int
     slice_steps: list
-    with_xfull: bool
+    noise: tuple  # the noise levels eps whose noisy trajectories ride on the chain
     quantities: dict  # name -> values_fn(batch) or (values_fn, mask_fn)
 
     def __str__(self):
         return (f"{self.label}: {self.sim}, {self.law.kind} law, {self.n_paths} paths, "
-                f"seed {self.seed}, slice steps {self.slice_steps}, xfull {self.with_xfull}, "
+                f"seed {self.seed}, slice steps {self.slice_steps}, noise {self.noise}, "
                 f"{len(self.quantities)} quantities")
 
 
@@ -278,12 +278,12 @@ def _law(cfg: ExperimentConfig) -> InitialLaw:
     return law
 
 
-def _simulation(cfg: ExperimentConfig, order: int, eps: float):
+def _simulation(cfg: ExperimentConfig, order: int):
     """SimConfig up to the last grid time, and the grid step of each grid time."""
     t_final = max(cfg.time_grid)
     try:
-        sim = SimConfig(dim=cfg.dim, order=order, eps=eps, dt=cfg.dt, t_final=t_final)
-    except ValueError as exc:  # parse_config checked dim, order, eps, dt: t_final < dt
+        sim = SimConfig(dim=cfg.dim, order=order, dt=cfg.dt, t_final=t_final)
+    except ValueError as exc:  # parse_config checked dim, order, dt: t_final < dt
         raise ConfigError(str(exc), f"/time_grid/{cfg.time_grid.index(t_final)}") from exc
     steps = {}
     for i, t in enumerate(cfg.time_grid):
@@ -299,6 +299,11 @@ def _fit_eps(cfg: ExperimentConfig) -> list:
         raise ConfigError(f"{cfg.experiment} fits a power law over at least 4 eps values",
                           "/eps_grid")
     return sorted(cfg.eps_grid, reverse=True)
+
+
+def _levels(eps_list) -> tuple:
+    """The distinct noise levels of an eps list, in order."""
+    return tuple(dict.fromkeys(eps_list))
 
 
 def _recursion_tables(cfg):
@@ -352,15 +357,13 @@ def _equilibrium_check(cfg):
         defect, scale = stationarity_defect(F, cfg.eps_grid[0])
         rows = [ResultRow(f"stationarity_defect(eps={cfg.eps_grid[0]:g})",
                           defect, None, 0.0, "derived", abs(defect) <= 1e-10 * scale)]
-        for eps in sorted(cfg.eps_grid, reverse=True):
-            value = gibbs_expectation(F, eps, QuadratureSpec.for_eps(eps))
-            pred = sum(eps ** (k / 2.0) * big_b_coeff(k, F, table) for k in range(cfg.order + 1))
-            rows.append(ResultRow(f"residual(eps={eps:g})",
-                                  value - pred, None, None, "none", True))
-        fit = expansion_residual_order(F, cfg.order, cfg.eps_grid, table)
+        eps, residuals = expansion_residuals(F, cfg.order, cfg.eps_grid, table)
+        for e, r in zip(eps, residuals):
+            rows.append(ResultRow(f"residual(eps={e:g})", r, None, None, "none", True))
+        fit = expansion_residual_order(eps, residuals)
         rows.append(ResultRow("residual_order", fit.exponent, None,
                               1.8, "paper", fit.exponent >= 1.8))
-        coeffs = residual_coefficient_fit(F, cfg.order, cfg.eps_grid, table, degree=3)
+        coeffs = residual_coefficient_fit(eps, residuals, cfg.order, degree=3)
         lead = float(big_b_coeff(cfg.order + 2, F, table))
         rows.append(ResultRow(f"leading_coefficient(eps^{(cfg.order + 2) // 2})",
                               float(coeffs[0]), None, lead, "derived",
@@ -373,16 +376,18 @@ def _equilibrium_check(cfg):
 def _strong_rates(cfg):
     law, eps_list = _law(cfg), _fit_eps(cfg)
     t = max(cfg.time_grid)
-    requests = []
+    sim, steps = _simulation(cfg, cfg.order)
+    qs = {}
     for eps in eps_list:
-        sim, steps = _simulation(cfg, cfg.order, eps)
-        requests.append(Request(f"w(eps={eps:g})", sim, law, cfg.n_paths, cfg.seed,
-                                [steps[t]], True, strong_remainder_sq(sim, steps[t])))
+        for m, q in strong_remainder_sq(replace(sim, eps=eps), steps[t]).items():
+            qs[eps, m] = q
+    w = Request("w", sim, law, cfg.n_paths, cfg.seed, [steps[t]], _levels(eps_list), qs)
 
     def checks(est):
         rows, per_m = [], [[] for _ in range(cfg.order + 1)]
-        for eps, req in zip(eps_list, requests):
-            for m, e in est[req.label].items():
+        for eps in eps_list:
+            for m in range(cfg.order + 1):
+                e = est[w.label][eps, m]
                 per_m[m].append(e.value)
                 rows.append(ResultRow(f"E|w_{m}|^2(eps={eps:g},t={t:g})",
                                       e.value, e.stderr, None, "none", True))
@@ -392,17 +397,16 @@ def _strong_rates(cfg):
                                   None, 0.9, "paper", fit.exponent >= 0.9))
         return rows, []
 
-    return requests, checks
+    return [w], checks
 
 
 def _weak_rates(cfg):
     law, F, eps_list = _law(cfg), cfg.parsed_observable(), _fit_eps(cfg)
     t, m = max(cfg.time_grid), cfg.order
-    requests = []
-    for eps in eps_list:
-        sim, steps = _simulation(cfg, m, eps)
-        requests.append(Request(f"v_{m}(eps={eps:g})", sim, law, cfg.n_paths, cfg.seed,
-                                [steps[t]], True, {"v": weak_remainder(m, F, sim, steps[t])}))
+    sim, steps = _simulation(cfg, m)
+    step = steps[t]
+    vm = Request(f"v_{m}", sim, law, cfg.n_paths, cfg.seed, [step], _levels(eps_list),
+                 {eps: weak_remainder(m, F, replace(sim, eps=eps), step) for eps in eps_list})
 
     # re-expansion consistency: v_0 against sqrt(eps) a_1 + eps a_2, at the
     # last eps listed in the grid.  The discrepancy is a deterministic
@@ -410,18 +414,16 @@ def _weak_rates(cfg):
     # the band width; this check runs at a fifth of the configured paths.
     eps_c = cfg.eps_grid[-1]
     n_small = max(cfg.n_paths // 5, 1000)
-    sim, steps = _simulation(cfg, m, eps_c)
-    step = steps[t]
     v0 = Request(f"v_0(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 1, [step],
-                 True, {"v": weak_remainder(0, F, sim, step)})
+                 (eps_c,), {"v": weak_remainder(0, F, replace(sim, eps=eps_c), step)})
     coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 2,
-                     [step], False, {"a1": lambda res: a_functional(1, F, res, step),
-                                     "a2": lambda res: a_functional(2, F, res, step)})
+                     [step], (), {"a1": lambda res: a_functional(1, F, res, step),
+                                  "a2": lambda res: a_functional(2, F, res, step)})
 
     def checks(est):
         rows, vals = [], []
-        for eps, req in zip(eps_list, requests):
-            e = est[req.label]["v"]
+        for eps in eps_list:
+            e = est[vm.label][eps]
             vals.append(abs(e.value))
             rows.append(ResultRow(f"v_{m}(eps={eps:g},t={t:g})",
                                   e.value, e.stderr, None, "none", True))
@@ -437,7 +439,7 @@ def _weak_rates(cfg):
                               abs(v.value - pred) <= 3.0 * combined))
         return rows, []
 
-    return requests + [v0, coeffs], checks
+    return [vm, v0, coeffs], checks
 
 
 def _longtime_scalar(cfg):
@@ -454,15 +456,14 @@ def _longtime_scalar(cfg):
     if len(window) < 4:
         raise ConfigError("the S_22 rate fit needs at least 4 grid times up to 4",
                           "/time_grid")
-    eps = cfg.eps_grid[0]
     # phase 1: conditional composition sum S_22 along the time grid
-    sim, steps = _simulation(cfg, 2, eps)
-    s22 = Request("S22", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times], False,
+    sim, steps = _simulation(cfg, 2)
+    s22 = Request("S22", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times], (),
                   {f"s22_{t:g}": conditional_s(2, 2, steps[t]) for t in times})
     # phase 2: weak coefficients a_1..a_3 on an independent, smaller run
-    sim3, steps3 = _simulation(cfg, max(cfg.order, 3), eps)
+    sim3, steps3 = _simulation(cfg, max(cfg.order, 3))
     coeffs = Request("a_1..a_3", sim3, law, max(cfg.n_paths // 4, 1000), cfg.seed + 1,
-                     [steps3[t] for t in times], False,
+                     [steps3[t] for t in times], (),
                      {f"a{m}_{t:g}": (lambda res, m=m, s=steps3[t]: a_functional(m, F, res, s))
                       for m in (1, 2, 3) for t in times})
     # P(xi_0 > 0): the symmetric kinds put half their mass on each sign
@@ -506,7 +507,7 @@ def _vector_divergence(cfg):
     fit_ts = [t for t in times if t >= 2.0]
     if len(fit_ts) < 2:
         raise ConfigError("the a2 slope fit needs at least 2 grid times >= 2", "/time_grid")
-    sim, steps = _simulation(cfg, max(cfg.order, 2), cfg.eps_grid[0])
+    sim, steps = _simulation(cfg, max(cfg.order, 2))
     qs = {}
     for t in times:
         s = steps[t]
@@ -514,7 +515,7 @@ def _vector_divergence(cfg):
         qs[f"r1sq_{t:g}"] = (lambda res, s=s: res.xbar_at(s, 1)[:, 0] ** 2)
         qs[f"v1sq_{t:g}"] = (lambda res, s=s: np.sum(res.xbar_at(s, 1)[:, 1:] ** 2, axis=1))
     chain = Request("chain", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times],
-                    False, qs)
+                    (), qs)
 
     def closed_a2(t):
         e2, e4 = np.exp(-2 * t), np.exp(-4 * t)
@@ -571,7 +572,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, dry_run: bool = Fals
     for req in requests:
         t1 = time.perf_counter()
         estimates[req.label] = mc_multi(req.quantities, req.sim, req.law, req.n_paths, req.seed,
-                                        req.slice_steps, with_xfull=req.with_xfull,
+                                        req.slice_steps, noise=req.noise,
                                         workers=workers)
         runtimes[req.label] = time.perf_counter() - t1
     t1 = time.perf_counter()

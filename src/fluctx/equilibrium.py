@@ -124,16 +124,17 @@ def stationarity_defect(F: Observable, eps: float, spec: QuadratureSpec | None =
 QUADRATURE_FLOOR = 1e-11
 
 
-def expansion_residual_order(
+def expansion_residuals(
     F: Observable,
     m: int,
     eps_list: Sequence[float],
     table: RationalTable,
-) -> RateFit:
-    """Power-law order of the residual after subtracting the expansion to order m.
+):
+    """Residuals after subtracting the expansion to order m, largest eps first.
 
-    r(eps) = E_mu[F] - sum_{k<=m} eps^{k/2} B_k(F); fits |r| ~ C eps^b.
-    Errors out if any residual sits at the quadrature accuracy floor.
+    r(eps) = E_mu[F] - sum_{k<=m} eps^{k/2} B_k(F), one quadrature per eps.
+    Returns (eps, r) as arrays.  Errors out if any residual sits at the
+    quadrature accuracy floor, where no order can be read off it.
     """
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 4:
@@ -149,30 +150,29 @@ def expansion_residual_order(
             raise ValueError(
                 f"residual {r:.3e} at eps={eps} is below the quadrature floor; increase eps range"
             )
-        residuals.append(abs(r))
-    return fit_power_law(np.asarray(eps_list), np.asarray(residuals))
+        residuals.append(r)
+    return np.asarray(eps_list, dtype=float), np.asarray(residuals, dtype=float)
+
+
+def expansion_residual_order(eps: Sequence[float], residuals: Sequence[float]) -> RateFit:
+    """Power-law order of the expansion residuals: fits |r| ~ C eps^b."""
+    return fit_power_law(np.asarray(eps), np.abs(residuals))
 
 
 def residual_coefficient_fit(
-    F: Observable,
+    eps: Sequence[float],
+    residuals: Sequence[float],
     m: int,
-    eps_list: Sequence[float],
-    table: RationalTable,
     degree: int = 3,
 ) -> np.ndarray:
-    """Least-squares coefficients (c_{m+2}, c_{m+3}, ...) of the residual.
+    """Least-squares coefficients (c_{m+2}, c_{m+3}, ...) of the order-m residuals.
 
     Fits r(eps) = sum_j c_j eps^{j/2} over j = m+2, ..., m+2+degree-1 with the
     half-integer odd powers skipped (they vanish by symmetry), i.e. basis
     eps^{(m+2)/2}, eps^{(m+4)/2}, ...  Returns the coefficient vector.
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    res = []
-    for eps in eps_arr:
-        value = gibbs_expectation(F, eps, QuadratureSpec.for_eps(eps))
-        pred = sum(eps ** (k / 2.0) * big_b_coeff(k, F, table) for k in range(m + 1))
-        res.append(value - pred)
+    eps_arr = np.asarray(eps, dtype=float)
     powers = [(m + 2 + 2 * j) / 2.0 for j in range(degree)]
     A = np.stack([eps_arr ** p for p in powers], axis=1)
-    coeffs, *_ = np.linalg.lstsq(A, np.asarray(res), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(A, np.asarray(residuals, dtype=float), rcond=None)
     return coeffs

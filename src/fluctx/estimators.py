@@ -6,7 +6,10 @@ number of batches; batch b draws its increments from a counter-based
 substream keyed by (seed, b), and the final reduction runs over batches
 in index order.  The result is therefore bitwise identical no matter how
 many workers execute the batches.  Standard errors come from batch means
-(>= 20 batches).
+(>= 20 batches).  One simulation steps the chain once and may carry
+several noise levels; a quantity that reads a noisy trajectory names its
+level (`reads_noise`), and only that trajectory's aborts, besides the
+chain's, leave its mean.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class McEstimate:
     stderr: float
     n_paths: int
     n_batches: int
+    n_aborted: int = 0  # paths left out because they aborted (chain or the trajectory read)
 
     def agrees_with(self, reference: float, k_sigma: float = 3.0) -> bool:
         return abs(self.value - reference) <= k_sigma * self.stderr
@@ -104,47 +108,66 @@ def _combine(slots, n_paths: int, name) -> McEstimate:
     if not np.isfinite(value):
         raise EstimationError("estimate is not finite")
     return McEstimate(value=value, stderr=stderr, n_paths=sum(s[1] for s in slots),
-                      n_batches=n_b)
+                      n_batches=n_b, n_aborted=aborted)
+
+
+def reads_noise(eps: float, values_fn):
+    """Mark a values_fn as reading the noisy trajectory at noise level eps."""
+    values_fn.eps = eps
+    return values_fn
 
 
 def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-             slice_steps: Sequence[int], *, with_xfull: bool, n_batches: int = 40,
+             slice_steps: Sequence[int], *, noise: Sequence[float], n_batches: int = 40,
              workers: int = 1) -> dict:
     """Batched MC means of several per-path functionals from one simulation.
 
     `quantities` maps name -> values_fn(batch_result) or
-    (values_fn, mask_fn); NaNs from aborted paths are excluded (the run
-    errors out if more than 0.1% abort), and masked-out paths are excluded
-    from that quantity's mean (used for sign-conditioning by rejection).
+    (values_fn, mask_fn).  The simulation steps the chain once, plus one
+    noisy trajectory per level in `noise`; a values_fn marked by
+    `reads_noise(eps, ...)` reads the eps trajectory, which `noise` must
+    list.  Paths aborted in the chain, or in the trajectory a quantity
+    reads, are excluded from that quantity's mean and counted against it
+    (the run errors out if more than 0.1% of its paths abort); masked-out
+    paths are excluded from that quantity's mean (used for sign-
+    conditioning by rejection).
     """
     sizes = batch_layout(n_paths, n_batches)
-    names = list(quantities)
+    noise = tuple(noise)
+    specs = []
+    for name, q in quantities.items():
+        values_fn, mask_fn = q if isinstance(q, tuple) else (q, None)
+        eps = getattr(values_fn, "eps", None)
+        if eps is not None and eps not in noise:
+            raise ValueError(f"quantity {name!r} reads noise level {eps}, which is not simulated")
+        specs.append((values_fn, mask_fn, eps))
 
     def worker(b, size):
-        res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, with_xfull=with_xfull)
-        n_aborted = int(res.aborted.sum())
+        # with_xfull repeats what noise says: benchmark/tracer.py keys each
+        # traced call's shape by that keyword (ROADMAP item 4(a) drops it)
+        res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, noise=noise,
+                             with_xfull=bool(noise))
         out = []
-        for name in names:
-            q = quantities[name]
-            values_fn, mask_fn = q if isinstance(q, tuple) else (q, None)
+        for values_fn, mask_fn, eps in specs:
             vals = np.asarray(values_fn(res), dtype=float)
-            keep = ~res.aborted
+            lost = res.lost[eps]
+            keep = ~lost
             if mask_fn is not None:
                 keep = keep & np.asarray(mask_fn(res), dtype=bool)
-            out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), n_aborted))
+            out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), int(lost.sum())))
         return out
 
     slots = _run_batches(worker, sizes, workers)
     return {name: _combine([s[idx] for s in slots], n_paths, name)
-            for idx, name in enumerate(names)}
+            for idx, name in enumerate(quantities)}
 
 
 def mc_mean(values_fn, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-            slice_steps: Sequence[int], *, with_xfull: bool, n_batches: int = 40,
+            slice_steps: Sequence[int], *, noise: Sequence[float], n_batches: int = 40,
             workers: int = 1) -> McEstimate:
     """Batched MC mean of one per-path functional `values_fn(batch_result)`."""
     return mc_multi({"mean": values_fn}, cfg, law, n_paths, seed, slice_steps,
-                    with_xfull=with_xfull, n_batches=n_batches, workers=workers)["mean"]
+                    noise=noise, n_batches=n_batches, workers=workers)["mean"]
 
 
 def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
@@ -178,7 +201,7 @@ def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
 
 
 def weak_remainder(m: int, F: Observable, cfg: SimConfig, step: int):
-    """Per-path scaled weak remainder v_m^eps at a grid step (needs xfull).
+    """Per-path scaled weak remainder v_m^eps at a grid step (reads X_eps at cfg.eps).
 
     v_m = (E F(X_eps) - sum_{k<=m} eps^{k/2} a_k) / eps^{m/2}, estimated
     pathwise on coupled noise: the same increments drive X_eps and every
@@ -189,25 +212,28 @@ def weak_remainder(m: int, F: Observable, cfg: SimConfig, step: int):
     scale = cfg.eps ** (m / 2.0)
 
     def values(res):
-        out = F.eval_batch(res.xfull[step])
+        out = F.eval_batch(res.xfull[cfg.eps][step])
         for k in range(m + 1):
             out = out - cfg.eps ** (k / 2.0) * a_functional(k, F, res, step)
         return out / scale
 
-    return values
+    return reads_noise(cfg.eps, values)
 
 
 def strong_remainder_sq(cfg: SimConfig, step: int) -> dict:
-    """Per-path |w_{eps,m}|^2 at a grid step for m = 0..cfg.order, keyed by m (needs xfull)."""
+    """Per-path |w_{eps,m}|^2 at a grid step for m = 0..cfg.order, keyed by m.
+
+    Each reads the noisy trajectory at cfg.eps.
+    """
 
     def w_sq(m):
         def values(res):
-            acc = res.xfull[step].copy()
+            acc = res.xfull[cfg.eps][step].copy()
             for k in range(m + 1):
                 acc -= cfg.eps ** (k / 2.0) * res.xbar_at(step, k)
             acc /= cfg.eps ** (m / 2.0)
             return np.sum(acc * acc, axis=1)
-        return values
+        return reads_noise(cfg.eps, values)
 
     return {m: w_sq(m) for m in range(cfg.order + 1)}
 
@@ -222,7 +248,7 @@ def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
         raise ValueError(f"m must be in [0, {cfg.order}]")
     step = cfg.grid_index(t)
     return mc_mean(lambda res: a_functional(m, F, res, step), cfg, law, n_paths, seed,
-                   [step], with_xfull=False, n_batches=n_batches, workers=workers)
+                   [step], noise=(), n_batches=n_batches, workers=workers)
 
 
 def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
@@ -231,7 +257,7 @@ def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law
     """MC estimate of the scaled weak remainder v_m^eps at grid time t."""
     step = cfg.grid_index(t)
     return mc_mean(weak_remainder(m, F, cfg, step), cfg, law, n_paths, seed, [step],
-                   with_xfull=True, n_batches=n_batches, workers=workers)
+                   noise=(cfg.eps,), n_batches=n_batches, workers=workers)
 
 
 def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_paths: int,
@@ -243,7 +269,7 @@ def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_pa
     """
     step = cfg.grid_index(t)
     return list(mc_multi(strong_remainder_sq(cfg, step), cfg, law, n_paths, seed, [step],
-                         with_xfull=True, n_batches=n_batches, workers=workers).values())
+                         noise=(cfg.eps,), n_batches=n_batches, workers=workers).values())
 
 
 def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: InitialLaw,
@@ -256,7 +282,7 @@ def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: Initia
         raise ValueError("need 1 <= i <= m <= order")
     step = cfg.grid_index(t)
     return mc_multi({"S": conditional_s(m, i, step, sign)}, cfg, law, n_paths, seed, [step],
-                    with_xfull=False, n_batches=n_batches, workers=workers)["S"]
+                    noise=(), n_batches=n_batches, workers=workers)["S"]
 
 
 def fit_power_law(xs, ys) -> RateFit:

@@ -1,15 +1,21 @@
-"""Joint pathwise simulation of the full SDE and its fluctuation chain.
+"""Joint pathwise simulation of the fluctuation chain and its noisy trajectories.
 
-One shared Brownian path drives everything: the noisy trajectory (Euler-
-Maruyama with additive noise sqrt(2 eps) dW), the deterministic leading
-order (exact flow), the first-order linear SDE (diffusion
-sqrt(2) dW), and the higher orders, which are linear ODEs forced by
-products of lower-order fluctuations over integer compositions.
+One shared Brownian path drives everything: the deterministic leading
+order (exact flow), the first-order linear SDE (diffusion sqrt(2) dW),
+the higher orders, which are linear ODEs forced by products of
+lower-order fluctuations over integer compositions, and one noisy
+trajectory X_eps per requested noise level (Euler-Maruyama with additive
+noise sqrt(2 eps) dW).  The chain Xbar_0..Xbar_n does not depend on eps,
+so it is stepped once per simulation however many noise levels ride on
+it; each X_eps starts from xi_eps and reads the same increments.
 
 The batch engine is fully vectorized over paths: state arrays have shape
 (n_paths, dim) and only requested time slices are retained, so estimators
-can run 1e5+ paths without storing trajectories.  `simulate_path` keeps
-the full grid (plus the increments) for the pathwise identities.
+can run 1e5+ paths without storing trajectories.  Aborts are tracked per
+trajectory: a path that diverges in the chain is lost to every quantity,
+one that diverges in the X_eps trajectory only to quantities reading that
+trajectory.  `simulate_path` keeps the full grid (plus the increments) for
+the pathwise identities.
 """
 
 from __future__ import annotations
@@ -35,18 +41,24 @@ class SimulationAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The simulation grid and chain order.
+
+    The chain never reads `eps`: it names the noise level a quantity reads
+    (and the one level that `simulate_batch(..., with_xfull=True)` steps).
+    """
+
     dim: int
     order: int
-    eps: float
     dt: float
     t_final: float
+    eps: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not 0 <= self.order <= combinatorics.MAX_ORDER:
             raise ValueError(f"order must be in [0, {combinatorics.MAX_ORDER}]")
-        if not 0.0 < self.eps < 1.0:
+        if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
         if not 0.0 < self.dt <= 1e-2:
             raise ValueError("dt must be in (0, 1e-2]")
@@ -165,10 +177,23 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, path_index])))
 
 
-def _linearized_apply(x0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[(1 - |x0|^2) I - 2 x0 x0^T] v, rowwise over paths."""
-    r2 = np.sum(x0 * x0, axis=1, keepdims=True)
-    dot = np.sum(x0 * v, axis=1, keepdims=True)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bit for bit np.sum(a * b, axis=-1, keepdims=True), at less cost per call.
+
+    At these batch sizes the call overhead is as large as the arithmetic:
+    np.add.reduce skips np.sum's dispatch, and at d = 1 the reduction is
+    the single term plus 0.0 (which turns -0.0 into 0.0, as it does).
+    """
+    p = a * b
+    if p.shape[-1] == 1:
+        p += 0.0
+        return p
+    return np.add.reduce(p, axis=-1, keepdims=True)
+
+
+def _linearized_apply(x0: np.ndarray, r2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """[(1 - |x0|^2) I - 2 x0 x0^T] v, rowwise over paths; r2 = |x0|^2."""
+    dot = _row_dot(x0, v)
     return (1.0 - r2) * v - 2.0 * dot * x0
 
 
@@ -176,11 +201,11 @@ def _forcing(x0: np.ndarray, xbar: List[np.ndarray], m: int) -> np.ndarray:
     """Total order-m contribution of the cubic nonlinearity (sign: subtract)."""
     out = np.zeros_like(x0)
     for (i, j) in combinatorics.compositions(m, 2):
-        dij = np.sum(xbar[i] * xbar[j], axis=1, keepdims=True)
-        di0 = np.sum(xbar[i] * x0, axis=1, keepdims=True)
+        dij = _row_dot(xbar[i], xbar[j])
+        di0 = _row_dot(xbar[i], x0)
         out += dij * x0 + 2.0 * di0 * xbar[j]
     for (i, j, k) in combinatorics.compositions(m, 3):
-        dij = np.sum(xbar[i] * xbar[j], axis=1, keepdims=True)
+        dij = _row_dot(xbar[i], xbar[j])
         out += dij * xbar[k]
     return out
 
@@ -188,15 +213,22 @@ def _forcing(x0: np.ndarray, xbar: List[np.ndarray], m: int) -> np.ndarray:
 class BatchResult:
     """Time slices of a batch simulation, plus abort diagnostics."""
 
-    def __init__(self, slice_steps, x0, xbar, xfull, xi0, xis, aborted, first_abort):
+    def __init__(self, slice_steps, x0, xbar, xfull, xi0, xis, lost, first_abort):
         self.slice_steps = slice_steps          # list of grid step indices
         self.x0 = x0                            # {step: (n, d)}
         self.xbar = xbar                        # {step: [order arrays (n, d)]}  (index k-1 -> xbar_k)
-        self.xfull = xfull                      # {step: (n, d)} or None
+        self.xfull = xfull                      # {eps: {step: (n, d)}}, one per noise level
         self.xi0 = xi0
         self.xis = xis
-        self.aborted = aborted                  # bool mask (n,)
+        # bool masks (n,): lost[None] = aborted in the chain; lost[eps] =
+        # aborted in the chain or in the eps trajectory
+        self.lost = lost
         self.first_abort = first_abort          # (step, component) or None
+
+    @property
+    def aborted(self) -> np.ndarray:
+        """Paths aborted anywhere: in the chain or in any noisy trajectory."""
+        return np.logical_or.reduce(list(self.lost.values()))
 
     def xbar_at(self, step: int, k: int) -> np.ndarray:
         if k == 0:
@@ -210,16 +242,30 @@ def simulate_batch(
     n_paths: int,
     rng: np.random.Generator,
     slice_steps: Sequence[int],
+    noise: Optional[Sequence[float]] = None,
+    *,
     with_xfull: bool = True,
     zero_noise: bool = False,
     _record=None,
 ) -> BatchResult:
     """Simulate n_paths jointly, retaining state only at `slice_steps`.
 
-    All components consume the identical increments array each step.  Paths
-    that turn non-finite are frozen to NaN and flagged; the first failure's
-    (step, component) is kept for diagnostics.
+    The chain is stepped once; `noise` lists the noise levels eps that
+    each get a noisy trajectory X_eps, started from `law.xi_eps` (an empty
+    tuple simulates the chain only).  All components consume the identical
+    increments array each step.  Paths that turn non-finite are frozen to
+    NaN and flagged per trajectory (see `BatchResult.lost`); the first
+    failure's (step, component) is kept for diagnostics.
+
+    `with_xfull` is read only when `noise` is None: True stands for
+    noise=(cfg.eps,), False for noise=().  It is the spelling
+    benchmark/kernel.py uses and goes away with ROADMAP item 4(a).
     """
+    if noise is None:
+        noise = (cfg.eps,) if with_xfull else ()
+    noise = tuple(noise)
+    if len(set(noise)) != len(noise) or not all(0.0 < eps < 1.0 for eps in noise):
+        raise ValueError("noise levels must be distinct and in (0, 1)")
     slice_steps = sorted(set(int(s) for s in slice_steps))
     if slice_steps and not 0 <= slice_steps[0] <= slice_steps[-1] <= cfg.n_steps:
         raise ValueError("slice steps outside the grid")
@@ -228,37 +274,49 @@ def simulate_batch(
 
     x0 = xi0.copy()
     xbar = [x.copy() for x in xis]
-    xfull = law.xi_eps(xi0, xis, cfg.eps) if with_xfull else None
+    # every noisy trajectory in one (levels, n, d) array, so that a step
+    # updates them all with the same few array operations
+    xfull = np.empty((len(noise), n_paths, cfg.dim))
+    for i, eps in enumerate(noise):
+        xfull[i] = law.xi_eps(xi0, xis, eps)
+    sqrt_2eps = np.sqrt(2.0 * np.asarray(noise, dtype=float))[:, None, None]
 
-    out_x0, out_xbar, out_xfull = {}, {}, {}
-    aborted = np.zeros(n_paths, dtype=bool)
+    out_x0, out_xbar, out_xfull = {}, {}, {eps: {} for eps in noise}
+    lost = {key: np.zeros(n_paths, dtype=bool) for key in (None,) + noise}
     first_abort = None
     sqrt_dt = np.sqrt(cfg.dt)
     sqrt2 = np.sqrt(2.0)
-    sqrt_2eps = np.sqrt(2.0 * cfg.eps)
     dt = cfg.dt
     want = set(slice_steps)
 
     def snapshot(step):
         out_x0[step] = x0.copy()
         out_xbar[step] = [x.copy() for x in xbar]
-        if with_xfull:
-            out_xfull[step] = xfull.copy()
+        for i, eps in enumerate(noise):
+            out_xfull[eps][step] = xfull[i].copy()
+
+    def flag(mask, name, arr, step):
+        nonlocal first_abort
+        new = ~np.all(np.isfinite(arr), axis=1) & ~mask
+        if np.any(new):
+            if first_abort is None:
+                first_abort = (step, name)
+            mask |= new
 
     def check(step):
-        nonlocal first_abort
-        arrays = [("xfull", xfull)] if with_xfull else []
-        arrays += [("xbar0", x0)] + [(f"xbar{k}", xbar[k - 1]) for k in range(1, cfg.order + 1)]
-        for name, arr in arrays:
-            bad = ~np.all(np.isfinite(arr), axis=1)
-            new = bad & ~aborted
-            if np.any(new):
-                if first_abort is None:
-                    first_abort = (step, name)
-                aborted[new] = True
-        if np.any(aborted):
-            for arr in [a for _, a in arrays]:
-                arr[aborted] = np.nan
+        for i, eps in enumerate(noise):
+            flag(lost[eps], f"xfull(eps={eps:g})", xfull[i], step)
+        chain = [("xbar0", x0)] + [(f"xbar{k}", xbar[k - 1]) for k in range(1, cfg.order + 1)]
+        for name, arr in chain:
+            flag(lost[None], name, arr, step)
+        # a path lost in the chain is lost to every trajectory
+        if np.any(lost[None]):
+            for _, arr in chain:
+                arr[lost[None]] = np.nan
+        for i, eps in enumerate(noise):
+            lost[eps] |= lost[None]
+            if np.any(lost[eps]):
+                xfull[i][lost[eps]] = np.nan
 
     if 0 in want:
         snapshot(0)
@@ -269,24 +327,26 @@ def simulate_batch(
             dW = sqrt_dt * rng.standard_normal((n_paths, cfg.dim))
         if _record is not None:
             _record.append(dW)
-        if with_xfull:
+        if noise:
             # diverging paths overflow before they are frozen to NaN; the
             # abort bookkeeping handles them, so the warnings are noise
             with np.errstate(over="ignore", invalid="ignore"):
-                r2 = np.sum(xfull * xfull, axis=1, keepdims=True)
-                xfull += (1.0 - r2) * xfull * dt + sqrt_2eps * dW
-        # higher orders first: they are forced by the lower orders at the
-        # *previous* time, so update from the top down
-        for m in range(cfg.order, 1, -1):
-            xbar[m - 1] += (_linearized_apply(x0, xbar[m - 1]) - _forcing(x0, [None] + xbar, m)) * dt
+                r2_full = _row_dot(xfull, xfull)
+                xfull += (1.0 - r2_full) * xfull * dt + sqrt_2eps * dW
         if cfg.order >= 1:
-            xbar[0] += _linearized_apply(x0, xbar[0]) * dt + sqrt2 * dW
+            r2 = _row_dot(x0, x0)
+            # higher orders first: they are forced by the lower orders at
+            # the *previous* time, so update from the top down
+            for m in range(cfg.order, 1, -1):
+                xbar[m - 1] += (_linearized_apply(x0, r2, xbar[m - 1])
+                                - _forcing(x0, [None] + xbar, m)) * dt
+            xbar[0] += _linearized_apply(x0, r2, xbar[0]) * dt + sqrt2 * dW
         x0 = xi0 / np.sqrt(r2_xi0 + (1.0 - r2_xi0) * np.exp(-2.0 * step * dt))
         if step % NAN_CHECK_STRIDE == 0 or step in want or step == cfg.n_steps:
             check(step)
         if step in want:
             snapshot(step)
-    return BatchResult(slice_steps, out_x0, out_xbar, out_xfull, xi0, xis, aborted, first_abort)
+    return BatchResult(slice_steps, out_x0, out_xbar, out_xfull, xi0, xis, lost, first_abort)
 
 
 def simulate_path(
@@ -299,12 +359,12 @@ def simulate_path(
     record: list = []
     res = simulate_batch(
         cfg, law, 1, rng, slice_steps=range(cfg.n_steps + 1),
-        with_xfull=True, zero_noise=zero_noise, _record=record,
+        noise=(cfg.eps,), zero_noise=zero_noise, _record=record,
     )
     if res.first_abort is not None:
         raise SimulationAbort(*res.first_abort)
     K = cfg.n_steps
-    xfull = np.stack([res.xfull[s][0] for s in range(K + 1)])
+    xfull = np.stack([res.xfull[cfg.eps][s][0] for s in range(K + 1)])
     xbar = [np.stack([res.xbar_at(s, k)[0] for s in range(K + 1)]) for k in range(cfg.order + 1)]
     dW = np.stack([w[0] for w in record])
     return FluctuationPath(

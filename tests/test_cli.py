@@ -126,8 +126,8 @@ LATE_FAILURES = [
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
-                    "recursion_tables": 0, "strong_rates": 4, "vector_divergence_d2": 1,
-                    "vector_divergence_d3": 1, "weak_rates": 6}
+                    "recursion_tables": 0, "strong_rates": 1, "vector_divergence_d2": 1,
+                    "vector_divergence_d3": 1, "weak_rates": 3}
 
 
 class TestDryRun:
@@ -234,8 +234,7 @@ class TestRunExperiment:
         assert run_experiment(cfg) in (0, 2)
         manifest = json.loads((out / "manifest.json").read_text())
         runtimes = manifest["runtimes_s"]
-        assert set(runtimes) == {"w(eps=0.05)", "w(eps=0.02)", "w(eps=0.01)", "w(eps=0.005)",
-                                 "checks"}
+        assert set(runtimes) == {"w", "checks"}
         assert all(v > 0 for v in runtimes.values())
         assert sum(runtimes.values()) <= manifest["wall_time_s"]
 

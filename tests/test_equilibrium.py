@@ -4,6 +4,7 @@ import pytest
 from fluctx.equilibrium import (
     QuadratureSpec,
     expansion_residual_order,
+    expansion_residuals,
     gibbs_expectation,
     partition_function,
     residual_coefficient_fit,
@@ -101,11 +102,12 @@ class TestStationarity:
 class TestResidualOrder:
     def test_order_zero_effective_rate(self):
         # residual after B_0 alone decays like eps (B_1 = 0)
-        fit = expansion_residual_order(X2, 0, [0.1, 0.05, 0.02, 0.01], TABLE)
+        fit = expansion_residual_order(*expansion_residuals(X2, 0, [0.1, 0.05, 0.02, 0.01], TABLE))
         assert fit.exponent >= 0.9
 
     def test_order_two_rate(self):
-        fit = expansion_residual_order(X2, 2, [0.06, 0.04, 0.025, 0.015, 0.01], TABLE)
+        eps, residuals = expansion_residuals(X2, 2, [0.06, 0.04, 0.025, 0.015, 0.01], TABLE)
+        fit = expansion_residual_order(eps, residuals)
         assert fit.exponent >= 1.8
         assert fit.r_squared > 0.99
 
@@ -114,15 +116,15 @@ class TestResidualOrder:
         # refuse to report an order from quadrature noise
         x = parse_polynomial("x1", 1)
         with pytest.raises(ValueError):
-            expansion_residual_order(x, 0, [0.1, 0.05, 0.02, 0.01], TABLE)
+            expansion_residuals(x, 0, [0.1, 0.05, 0.02, 0.01], TABLE)
 
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):
-            expansion_residual_order(X2, 2, [0.5, 0.2, 0.1, 0.05], TABLE)
+            expansion_residuals(X2, 2, [0.5, 0.2, 0.1, 0.05], TABLE)
         with pytest.raises(ValueError):
-            expansion_residual_order(X2, 2, [0.1, 0.05], TABLE)
+            expansion_residuals(X2, 2, [0.1, 0.05], TABLE)
 
     def test_leading_coefficient_fit(self):
-        coeffs = residual_coefficient_fit(X2, 2, [0.04, 0.025, 0.015, 0.01, 0.006],
-                                          TABLE, degree=3)
+        eps, residuals = expansion_residuals(X2, 2, [0.04, 0.025, 0.015, 0.01, 0.006], TABLE)
+        coeffs = residual_coefficient_fit(eps, residuals, 2, degree=3)
         assert coeffs[0] == pytest.approx(-3.0, rel=0.1)

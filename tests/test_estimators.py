@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from fluctx.estimators import (
     EstimationError,
     McEstimate,
+    a_functional,
     batch_layout,
     estimate_a,
     estimate_conditional_s,
@@ -13,6 +14,7 @@ from fluctx.estimators import (
     fit_exponential_rate,
     fit_power_law,
     mc_multi,
+    strong_remainder_sq,
 )
 from fluctx.hierarchy import InitialLaw, SimConfig
 from fluctx.model import flow_exact
@@ -218,7 +220,7 @@ class TestMcMulti:
         law = InitialLaw(kind="symmetric_two_point", point=(1.0,))
         out = mc_multi({"x0": (lambda res: res.x0[50][:, 0], lambda res: res.xi0[:, 0] > 0),
                         "all": lambda res: res.x0[50][:, 0] ** 2},
-                       cfg, law, 100, 19, [50], with_xfull=False)
+                       cfg, law, 100, 19, [50], noise=())
         plus = out["x0"]
         assert plus.n_batches < 40
         assert 0 < plus.n_paths < 100
@@ -230,7 +232,61 @@ class TestMcMulti:
         law = InitialLaw(kind="deterministic_point", point=(1.0,))
         with pytest.raises(EstimationError):
             mc_multi({"minus": (lambda res: res.x0[50][:, 0], lambda res: res.xi0[:, 0] < 0)},
-                     cfg, law, 100, 19, [50], with_xfull=False)
+                     cfg, law, 100, 19, [50], noise=())
+
+
+class _ChainBlowup(InitialLaw):
+    """xi_1 = inf on the first path of every batch; each X_eps starts from xi_0 alone."""
+
+    def sample(self, rng, n, dim, order):
+        xi0, xis = super().sample(rng, n, dim, order)
+        xis[0][0] = np.inf
+        return xi0, xis
+
+    def xi_eps(self, xi0, xis, eps):
+        return xi0.copy()
+
+
+class TestAbortIsolation:
+    # xi_1 with std 17 puts 8 of these 20 000 X_0.05 starts beyond the Euler
+    # stability bound |x| ~ sqrt(2 / dt): X_0.05 blows up there, while the
+    # chain and the smaller eps stay finite
+    LAW = InitialLaw(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(17.0,))
+    NOISE = (0.05, 0.02, 0.01, 0.005)
+
+    def _quantities(self, cfg, noise, step):
+        qs = {"a1": lambda res: a_functional(1, X2, res, step)}
+        for eps in noise:
+            qs[eps] = strong_remainder_sq(SimConfig(dim=1, order=2, dt=cfg.dt,
+                                                    t_final=cfg.t_final, eps=eps), step)[1]
+        return qs
+
+    def test_noisy_abort_leaves_only_its_level(self):
+        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
+        shared = mc_multi(self._quantities(cfg, self.NOISE, 50), cfg, self.LAW, 20000, 5,
+                          [50], noise=self.NOISE)
+        assert shared[0.05].n_aborted == 8 and shared[0.05].n_paths == 20000 - 8
+        for name in ("a1",) + self.NOISE[1:]:
+            assert shared[name].n_aborted == 0 and shared[name].n_paths == 20000
+        alone = mc_multi(self._quantities(cfg, (0.05,), 50), cfg, self.LAW, 20000, 5,
+                         [50], noise=(0.05,))
+        assert alone[0.05] == shared[0.05]
+        assert alone["a1"] == shared["a1"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_chain_abort_leaves_every_quantity(self):
+        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
+        law = _ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        out = mc_multi(self._quantities(cfg, self.NOISE, 50), cfg, law, 20000, 5, [50],
+                       noise=self.NOISE, n_batches=20)
+        for name in ("a1",) + self.NOISE:
+            assert out[name].n_aborted == 20 and out[name].n_paths == 20000 - 20
+
+    def test_undeclared_level_rejected(self):
+        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
+        with pytest.raises(ValueError):
+            mc_multi(self._quantities(cfg, (0.05,), 50), cfg, self.LAW, 100, 5, [50],
+                     noise=(0.02,))
 
 
 class TestFitPowerLaw:

@@ -5,6 +5,7 @@ from fluctx.hierarchy import (
     InitialLaw,
     SimConfig,
     SimulationAbort,
+    _row_dot,
     decompose_radial_tangential,
     path_rng,
     remainder,
@@ -211,8 +212,7 @@ class TestVectorStructure:
         self.law = InitialLaw(kind="deterministic_point", point=(1.0, 0.0),
                               higher_std=())
         steps = [self.cfg.grid_index(t) for t in (0.5, 1.0, 2.0)]
-        self.res = simulate_batch(self.cfg, self.law, 40000, _rng(11), steps,
-                                  with_xfull=False)
+        self.res = simulate_batch(self.cfg, self.law, 40000, _rng(11), steps, noise=())
         self.steps = steps
 
     def test_radial_first_order_variance(self):
@@ -259,20 +259,74 @@ class TestVectorStructure:
             decompose_radial_tangential(path2, 3)
 
 
+class TestRowDot:
+    def test_bitwise_equal_to_np_sum(self):
+        rng = np.random.default_rng(31)
+        for shape in ((1000, 1), (1000, 3), (4, 1000, 1)):
+            a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+            a[::7], b[::5], a[::11], a[::13] = 0.0, -0.0, np.nan, np.inf
+            with np.errstate(invalid="ignore"):
+                assert _row_dot(a, b).tobytes() == np.sum(a * b, axis=-1, keepdims=True).tobytes()
+
+
+NOISE = (0.05, 0.02, 0.01, 0.005)
+
+
+class TestSharedNoise:
+    # xi_1 with std 20 puts a few X_0.05 starts beyond the Euler stability
+    # bound |x| ~ sqrt(2 / dt), so the eps = 0.05 abort mask is not empty
+    LAW = InitialLaw(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(20.0,))
+
+    def test_matches_separate_simulations(self):
+        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=1.0)
+        steps = [0, 50, cfg.n_steps]
+        shared = simulate_batch(cfg, self.LAW, 2000, _rng(21, 3), steps, noise=NOISE)
+        assert shared.lost[0.05].any() and not shared.lost[None].any()
+        for eps in NOISE:
+            alone = simulate_batch(cfg, self.LAW, 2000, _rng(21, 3), steps, noise=(eps,))
+            assert list(alone.xfull) == [eps]
+            for step in steps:
+                assert np.array_equal(shared.xfull[eps][step], alone.xfull[eps][step],
+                                      equal_nan=True)
+                for k in range(cfg.order + 1):
+                    assert np.array_equal(shared.xbar_at(step, k), alone.xbar_at(step, k))
+            assert np.array_equal(shared.lost[eps], alone.lost[eps])
+            assert np.array_equal(shared.lost[None], alone.lost[None])
+
+    def test_chain_only(self):
+        cfg = SimConfig(dim=1, order=1, dt=1e-2, t_final=0.5)
+        res = simulate_batch(cfg, self.LAW, 100, _rng(22), [cfg.n_steps], noise=())
+        assert res.xfull == {} and list(res.lost) == [None]
+        with_noise = simulate_batch(cfg, self.LAW, 100, _rng(22), [cfg.n_steps], noise=(0.1,))
+        assert np.array_equal(res.xbar_at(cfg.n_steps, 1), with_noise.xbar_at(cfg.n_steps, 1))
+
+    def test_with_xfull_spelling(self):
+        cfg = SimConfig(dim=1, order=1, eps=0.1, dt=1e-2, t_final=0.5)
+        on = simulate_batch(cfg, self.LAW, 100, _rng(23), [cfg.n_steps], with_xfull=True)
+        off = simulate_batch(cfg, self.LAW, 100, _rng(23), [cfg.n_steps], with_xfull=False)
+        assert list(on.xfull) == [0.1] and off.xfull == {}
+
+    def test_noise_levels_validated(self):
+        cfg = SimConfig(dim=1, order=1, dt=1e-2, t_final=0.5)
+        for noise in ((0.1, 0.1), (0.1, 1.5), (0.0,)):
+            with pytest.raises(ValueError):
+                simulate_batch(cfg, self.LAW, 4, _rng(24), [cfg.n_steps], noise=noise)
+
+
 class TestAborts:
     def test_blowup_raises_on_single_path(self):
         cfg = SimConfig(dim=1, order=0, eps=0.1, dt=1e-2, t_final=1.0)
         law = InitialLaw(kind="deterministic_point", point=(30.0,))
         with pytest.raises(SimulationAbort) as err:
             simulate_path(cfg, law, _rng(15))
-        assert err.value.component == "xfull"
+        assert err.value.component == "xfull(eps=0.1)"
 
     def test_batch_flags_and_freezes(self):
         cfg = SimConfig(dim=1, order=0, eps=0.1, dt=1e-2, t_final=1.0)
         law = InitialLaw(kind="deterministic_point", point=(30.0,))
-        res = simulate_batch(cfg, law, 8, _rng(16), [cfg.n_steps])
+        res = simulate_batch(cfg, law, 8, _rng(16), [cfg.n_steps], noise=(cfg.eps,))
         assert np.all(res.aborted)
-        assert np.all(np.isnan(res.xfull[cfg.n_steps]))
+        assert np.all(np.isnan(res.xfull[cfg.eps][cfg.n_steps]))
         assert res.first_abort is not None
 
     def test_slice_steps_validated(self):
