@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every checked-in experiment config and summarize the exit codes.
 
-Usage: python scripts/run_all.py [--workers N] [--only NAME ...]
+Usage: python scripts/run_all.py [--only NAME ...]
 """
 
 import argparse
@@ -16,7 +16,6 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--only", nargs="*", default=None,
                     help="config stems to run (default: all)")
     args = ap.parse_args(argv)
@@ -32,8 +31,6 @@ def run(argv=None):
     for path in configs:
         cfg = parse_config(path)
         cli_args = [cfg.experiment, "--config", str(path)]
-        if args.workers:
-            cli_args += ["--workers", str(args.workers)]
         t0 = time.perf_counter()
         code = fluctx_main(cli_args)
         status = {0: "ok", 2: "CHECK FAILED"}.get(code, "ERROR")

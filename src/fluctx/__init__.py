@@ -5,14 +5,13 @@ V(x) = |x|^4 / 4 - |x|^2 / 2.
 
 __version__ = "0.1.0"
 
-from .hierarchy import FluctuationPath, InitialLaw, SimConfig, simulate_batch, simulate_path
+from .hierarchy import InitialLaw, SimConfig, simulate_batch
 from .model import DomainError
 from .observables import Observable, ParseError, parse_polynomial
 from .recursions import RationalTable, c_table, d_table
 
 __all__ = [
     "DomainError",
-    "FluctuationPath",
     "InitialLaw",
     "Observable",
     "ParseError",
@@ -23,5 +22,4 @@ __all__ = [
     "d_table",
     "parse_polynomial",
     "simulate_batch",
-    "simulate_path",
 ]

@@ -12,8 +12,8 @@ manifest.json (config echo, versions, seed, wall time, seconds per request
 and for the checks).  Exit code 0 iff every pass flag is true, 2 if any
 check fails, 1 on runtime/config errors.
 
-results.csv is byte-identical across reruns of the same config for any
-worker count; volatile quantities (wall times) go to manifest.json only.
+results.csv is byte-identical across reruns of the same config; volatile
+quantities (wall times) go to manifest.json only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import platform
 import sys
 import time
@@ -228,7 +227,7 @@ def _write_tables(tables, out_dir: Path) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
-                    wall_time: float, workers: int, runtimes: dict) -> None:
+                    wall_time: float, runtimes: dict) -> None:
     manifest = {
         "config": config_to_document(cfg),
         "seed": cfg.seed,
@@ -237,7 +236,6 @@ def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "workers": workers,
         "wall_time_s": wall_time,
         "runtimes_s": runtimes,
         "n_rows": len(rows),
@@ -557,8 +555,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1, dry_run: bool = False,
-                   stream=None) -> int:
+def run_experiment(cfg: ExperimentConfig, dry_run: bool = False, stream=None) -> int:
     """Plan one experiment, then print the plan or run it; returns the exit code."""
     stream = stream or sys.stdout
     t0 = time.perf_counter()
@@ -572,8 +569,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, dry_run: bool = Fals
     for req in requests:
         t1 = time.perf_counter()
         estimates[req.label] = mc_multi(req.quantities, req.sim, req.law, req.n_paths, req.seed,
-                                        req.slice_steps, noise=req.noise,
-                                        workers=workers)
+                                        req.slice_steps, noise=req.noise)
         runtimes[req.label] = time.perf_counter() - t1
     t1 = time.perf_counter()
     rows, tables = checks(estimates)
@@ -583,7 +579,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, dry_run: bool = Fals
     _write_results(cfg.experiment, rows, out_dir)
     if tables:
         _write_tables(tables, out_dir)
-    _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, workers, runtimes)
+    _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, runtimes)
     failed = [r for r in rows if not r.passed]
     for r in rows:
         mark = "ok  " if r.passed else "FAIL"
@@ -591,18 +587,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, dry_run: bool = Fals
               + (f" (ref {r.reference:.6g})" if r.reference is not None else ""),
               file=stream)
     return 2 if failed else 0
-
-
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("FLUCTX_WORKERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("FLUCTX_WORKERS must be an integer", "/")
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,8 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: $FLUCTX_WORKERS or 1)")
+        # batches run in order on one thread; --workers stays accepted for
+        # the benchmark's round scripts until ROADMAP item 4(a) drops it there
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored (must be >= 1): batches run on one thread")
         p.add_argument("--dry-run", action="store_true",
                        help="validate the config and print the plan only")
     return parser
@@ -630,10 +616,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config names experiment {cfg.experiment!r}, "
                 f"subcommand was {args.experiment!r}", "/experiment")
-        workers = _resolve_workers(args)
-        if workers < 1:
+        if args.workers < 1:
             raise ConfigError("workers must be >= 1", "/")
-        return run_experiment(cfg, workers=workers, dry_run=args.dry_run)
+        return run_experiment(cfg, dry_run=args.dry_run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

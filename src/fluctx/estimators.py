@@ -2,21 +2,19 @@
 
 `mc_multi` is the one engine: every estimator is a set of named per-path
 quantities over a single simulation.  Paths are partitioned into a fixed
-number of batches; batch b draws its increments from a counter-based
-substream keyed by (seed, b), and the final reduction runs over batches
-in index order.  The result is therefore bitwise identical no matter how
-many workers execute the batches.  Standard errors come from batch means
-(>= 20 batches).  One simulation steps the chain once and may carry
-several noise levels; a quantity that reads a noisy trajectory names its
-level (`reads_noise`), and only that trajectory's aborts, besides the
-chain's, leave its mean.
+number of batches, run one after another on the calling thread; batch b
+draws from a counter-based substream keyed by (seed, b), so each batch is
+reproducible on its own, and the reduction runs over batches in index
+order.  Standard errors come from batch means (>= 20 batches).  One
+simulation steps the chain once and may carry several noise levels; a
+quantity that reads a noisy trajectory names its level (`reads_noise`),
+and only that trajectory's aborts, besides the chain's, leave its mean.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -64,26 +62,6 @@ def batch_layout(n_paths: int, n_batches: int) -> List[int]:
     return [base + (1 if b < rem else 0) for b in range(n_batches)]
 
 
-def _run_batches(worker: Callable[[int, int], tuple], sizes: Sequence[int], workers: int):
-    """Run `worker(batch_index, batch_size)` over all batches.
-
-    Results land in pre-indexed slots and are reduced in batch order, so
-    the worker count never changes the output.
-    """
-    slots = [None] * len(sizes)
-
-    def fill(b):
-        slots[b] = worker(b, sizes[b])
-
-    if workers <= 1:
-        for b in range(len(sizes)):
-            fill(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(len(sizes))))
-    return slots
-
-
 def _combine(slots, n_paths: int, name) -> McEstimate:
     """Batch-means reduction of per-batch (sum, count, aborted) triples.
 
@@ -118,8 +96,7 @@ def reads_noise(eps: float, values_fn):
 
 
 def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-             slice_steps: Sequence[int], *, noise: Sequence[float], n_batches: int = 40,
-             workers: int = 1) -> dict:
+             slice_steps: Sequence[int], *, noise: Sequence[float], n_batches: int = 40) -> dict:
     """Batched MC means of several per-path functionals from one simulation.
 
     `quantities` maps name -> values_fn(batch_result) or
@@ -142,7 +119,8 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
             raise ValueError(f"quantity {name!r} reads noise level {eps}, which is not simulated")
         specs.append((values_fn, mask_fn, eps))
 
-    def worker(b, size):
+    slots = []  # per batch, one (sum, count, aborted) triple per quantity
+    for b, size in enumerate(sizes):
         # with_xfull repeats what noise says: benchmark/tracer.py keys each
         # traced call's shape by that keyword (ROADMAP item 4(a) drops it)
         res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, noise=noise,
@@ -155,19 +133,17 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
             if mask_fn is not None:
                 keep = keep & np.asarray(mask_fn(res), dtype=bool)
             out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), int(lost.sum())))
-        return out
-
-    slots = _run_batches(worker, sizes, workers)
+        slots.append(out)
     return {name: _combine([s[idx] for s in slots], n_paths, name)
             for idx, name in enumerate(quantities)}
 
 
 def mc_mean(values_fn, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-            slice_steps: Sequence[int], *, noise: Sequence[float], n_batches: int = 40,
-            workers: int = 1) -> McEstimate:
+            slice_steps: Sequence[int], *, noise: Sequence[float],
+            n_batches: int = 40) -> McEstimate:
     """Batched MC mean of one per-path functional `values_fn(batch_result)`."""
     return mc_multi({"mean": values_fn}, cfg, law, n_paths, seed, slice_steps,
-                    noise=noise, n_batches=n_batches, workers=workers)["mean"]
+                    noise=noise, n_batches=n_batches)["mean"]
 
 
 def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
@@ -239,7 +215,7 @@ def strong_remainder_sq(cfg: SimConfig, step: int) -> dict:
 
 
 def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
-               n_paths: int, seed: int, n_batches: int = 40, workers: int = 1) -> McEstimate:
+               n_paths: int, seed: int, n_batches: int = 40) -> McEstimate:
     """MC estimate of the m-th weak expansion coefficient at grid time t.
 
     Needs only the fluctuation chain, not the noisy trajectory.
@@ -248,33 +224,31 @@ def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
         raise ValueError(f"m must be in [0, {cfg.order}]")
     step = cfg.grid_index(t)
     return mc_mean(lambda res: a_functional(m, F, res, step), cfg, law, n_paths, seed,
-                   [step], noise=(), n_batches=n_batches, workers=workers)
+                   [step], noise=(), n_batches=n_batches)
 
 
 def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
-                            n_paths: int, seed: int, n_batches: int = 40,
-                            workers: int = 1) -> McEstimate:
+                            n_paths: int, seed: int, n_batches: int = 40) -> McEstimate:
     """MC estimate of the scaled weak remainder v_m^eps at grid time t."""
     step = cfg.grid_index(t)
     return mc_mean(weak_remainder(m, F, cfg, step), cfg, law, n_paths, seed, [step],
-                   noise=(cfg.eps,), n_batches=n_batches, workers=workers)
+                   noise=(cfg.eps,), n_batches=n_batches)
 
 
 def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_paths: int,
-                                 seed: int, n_batches: int = 40,
-                                 workers: int = 1) -> List[McEstimate]:
+                                 seed: int, n_batches: int = 40) -> List[McEstimate]:
     """MC estimates of E |w_{eps,m}(t)|^2 at grid time t for m = 0..cfg.order.
 
     Every order is read off the same simulated paths.
     """
     step = cfg.grid_index(t)
     return list(mc_multi(strong_remainder_sq(cfg, step), cfg, law, n_paths, seed, [step],
-                         noise=(cfg.eps,), n_batches=n_batches, workers=workers).values())
+                         noise=(cfg.eps,), n_batches=n_batches).values())
 
 
 def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: InitialLaw,
-                           n_paths: int, seed: int, sign: str = "+", n_batches: int = 40,
-                           workers: int = 1) -> McEstimate:
+                           n_paths: int, seed: int, sign: str = "+",
+                           n_batches: int = 40) -> McEstimate:
     """E[S_{m,i}(t) | sign(xi_0)] by rejection on the sign of xi_0 (d = 1)."""
     if cfg.dim != 1:
         raise ValueError("conditional S estimation requires d = 1")
@@ -282,7 +256,7 @@ def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: Initia
         raise ValueError("need 1 <= i <= m <= order")
     step = cfg.grid_index(t)
     return mc_multi({"S": conditional_s(m, i, step, sign)}, cfg, law, n_paths, seed, [step],
-                    noise=(), n_batches=n_batches, workers=workers)["S"]
+                    noise=(), n_batches=n_batches)["S"]
 
 
 def fit_power_law(xs, ys) -> RateFit:

@@ -9,18 +9,20 @@ noise sqrt(2 eps) dW).  The chain Xbar_0..Xbar_n does not depend on eps,
 so it is stepped once per simulation however many noise levels ride on
 it; each X_eps starts from xi_eps and reads the same increments.
 
-The batch engine is fully vectorized over paths: state arrays have shape
-(n_paths, dim) and only requested time slices are retained, so estimators
-can run 1e5+ paths without storing trajectories.  Aborts are tracked per
-trajectory: a path that diverges in the chain is lost to every quantity,
-one that diverges in the X_eps trajectory only to quantities reading that
-trajectory.  `simulate_path` keeps the full grid (plus the increments) for
-the pathwise identities.
+The batch engine is fully vectorized over paths and keeps its state
+component-major: the chain is one (order + 1, dim, n_paths) array and
+the noisy trajectories one (levels, dim, n_paths) array, so a dot product
+is one reduction over a short outer axis and every order's linear part is
+one array operation.  Only requested time slices are retained, transposed
+to (n_paths, dim), so estimators can run 1e5+ paths without storing
+trajectories.  Aborts are tracked per trajectory: a path that diverges in
+the chain is lost to every quantity, one that diverges in the X_eps
+trajectory only to quantities reading that trajectory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -28,15 +30,7 @@ import numpy as np
 from . import combinatorics
 
 NAN_CHECK_STRIDE = 25
-
-
-class SimulationAbort(RuntimeError):
-    """A trajectory left the finite range; carries first-failure diagnostics."""
-
-    def __init__(self, step: int, component: str):
-        super().__init__(f"non-finite value in {component} near step {step}")
-        self.step = step
-        self.component = component
+DRAW_BLOCK = 16384  # doubles of standard normals drawn at a time (128 KB)
 
 
 @dataclass(frozen=True)
@@ -151,63 +145,26 @@ class InitialLaw:
         return out
 
 
-@dataclass
-class FluctuationPath:
-    """One joint sample path of X_eps and the chain on the shared grid."""
-
-    times: np.ndarray                 # (K+1,)
-    eps: float
-    xfull: np.ndarray                 # (K+1, d)
-    xbar: List[np.ndarray]            # order+1 arrays (K+1, d)
-    brownian_increments: np.ndarray   # (K, d)
-    xi0: np.ndarray                   # (d,)
-    config: SimConfig = field(repr=False, default=None)
-
-    @property
-    def dim(self) -> int:
-        return self.xfull.shape[1]
-
-    @property
-    def order(self) -> int:
-        return len(self.xbar) - 1
-
-
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-based private substream for one path (or batch) index."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, path_index])))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bit for bit np.sum(a * b, axis=-1, keepdims=True), at less cost per call.
+def _component_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the component axis (-2) of component-major p, into out.
 
-    At these batch sizes the call overhead is as large as the arithmetic:
-    np.add.reduce skips np.sum's dispatch, and at d = 1 the reduction is
-    the single term plus 0.0 (which turns -0.0 into 0.0, as it does).
+    Bit for bit np.sum over the same values held row-major (last axis),
+    signed zeros included, in one call: at these batch sizes a call costs
+    as much as its arithmetic.  At d = 1 the sum is the single term plus
+    0.0 (which turns -0.0 into 0.0, as np.sum does).  From 8 components on
+    np.sum adds a row pairwise, so the rows are summed as rows.
     """
-    p = a * b
-    if p.shape[-1] == 1:
-        p += 0.0
-        return p
-    return np.add.reduce(p, axis=-1, keepdims=True)
-
-
-def _linearized_apply(x0: np.ndarray, r2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[(1 - |x0|^2) I - 2 x0 x0^T] v, rowwise over paths; r2 = |x0|^2."""
-    dot = _row_dot(x0, v)
-    return (1.0 - r2) * v - 2.0 * dot * x0
-
-
-def _forcing(x0: np.ndarray, xbar: List[np.ndarray], m: int) -> np.ndarray:
-    """Total order-m contribution of the cubic nonlinearity (sign: subtract)."""
-    out = np.zeros_like(x0)
-    for (i, j) in combinatorics.compositions(m, 2):
-        dij = _row_dot(xbar[i], xbar[j])
-        di0 = _row_dot(xbar[i], x0)
-        out += dij * x0 + 2.0 * di0 * xbar[j]
-    for (i, j, k) in combinatorics.compositions(m, 3):
-        dij = _row_dot(xbar[i], xbar[j])
-        out += dij * xbar[k]
-    return out
+    d = p.shape[-2]
+    if d == 1:
+        return np.add(p[..., 0, :], 0.0, out=out)
+    if d < 8:
+        return np.add.reduce(p, axis=-2, out=out)
+    return np.add.reduce(np.swapaxes(p, -1, -2).copy(), axis=-1, out=out)
 
 
 class BatchResult:
@@ -245,16 +202,14 @@ def simulate_batch(
     noise: Optional[Sequence[float]] = None,
     *,
     with_xfull: bool = True,
-    zero_noise: bool = False,
-    _record=None,
 ) -> BatchResult:
     """Simulate n_paths jointly, retaining state only at `slice_steps`.
 
     The chain is stepped once; `noise` lists the noise levels eps that
     each get a noisy trajectory X_eps, started from `law.xi_eps` (an empty
     tuple simulates the chain only).  All components consume the identical
-    increments array each step.  Paths that turn non-finite are frozen to
-    NaN and flagged per trajectory (see `BatchResult.lost`); the first
+    increments each step.  Paths that turn non-finite are frozen to NaN
+    and flagged per trajectory (see `BatchResult.lost`); the first
     failure's (step, component) is kept for diagnostics.
 
     `with_xfull` is read only when `noise` is None: True stands for
@@ -270,138 +225,143 @@ def simulate_batch(
     if slice_steps and not 0 <= slice_steps[0] <= slice_steps[-1] <= cfg.n_steps:
         raise ValueError("slice steps outside the grid")
     xi0, xis = law.sample(rng, n_paths, cfg.dim, cfg.order)
-    r2_xi0 = np.sum(xi0 * xi0, axis=1, keepdims=True)
+    K, n, d, levels = cfg.order, n_paths, cfg.dim, len(noise)
+    n_steps, dt = cfg.n_steps, cfg.dt
+    r2_xi0 = np.sum(xi0 * xi0, axis=1)
+    one_minus_r2_xi0 = 1.0 - r2_xi0
 
-    x0 = xi0.copy()
-    xbar = [x.copy() for x in xis]
-    # every noisy trajectory in one (levels, n, d) array, so that a step
-    # updates them all with the same few array operations
-    xfull = np.empty((len(noise), n_paths, cfg.dim))
+    # component-major state: chain[k] is Xbar_k and xfull[i] is X_eps at
+    # eps = noise[i], each (d, n); all noise levels step together
+    chain = np.empty((K + 1, d, n))
+    for k, x in enumerate([xi0] + xis):
+        chain[k] = x.T
+    xi0_cm = np.ascontiguousarray(xi0.T)
+    xfull = np.empty((levels, d, n))
     for i, eps in enumerate(noise):
-        xfull[i] = law.xi_eps(xi0, xis, eps)
+        xfull[i] = law.xi_eps(xi0, xis, eps).T
     sqrt_2eps = np.sqrt(2.0 * np.asarray(noise, dtype=float))[:, None, None]
+    sqrt_dt = np.sqrt(dt)
+    sqrt2 = np.sqrt(2.0)
+
+    # preallocated buffers; the increments are drawn `block` steps at a time
+    block = max(1, min(n_steps, DRAW_BLOCK // (n * d)))
+    z = np.empty((block, n, d))
+    # at d = 1 the transposed increments share the draws' memory, and each
+    # dot product is formed in its own output row
+    dW_block = z.reshape(block, d, n) if d == 1 else np.empty((block, d, n))
+    prod = None if d == 1 else np.empty((max(K + 1, levels), d, n))
+    r2_full, drift_full, noise_full = (np.empty((levels, n)), np.empty((levels, d, n)),
+                                       np.empty((levels, d, n)))
+    dots = np.empty((K + 1, n))
+    # scratch[0] holds one term at a time, scratch[1:] the forcing of orders 2..K
+    inc, scratch = np.empty((K, d, n)), np.empty((K, d, n))
+    # Xbar_lo . Xbar_hi and that times x0, for lo <= hi, lo + hi <= K, at [lo][hi - lo]
+    pair_dot = {lo: np.empty((K + 1 - 2 * lo, n)) for lo in range(1, K // 2 + 1)}
+    pair_x0 = {lo: np.empty((K + 1 - 2 * lo, d, n)) for lo in range(1, K // 2 + 1)}
+    forcing_plan = [(combinatorics.compositions(m, 2), combinatorics.compositions(m, 3))
+                    for m in range(2, K + 1)]
+    den = dots[0]  # the flow's denominator, once the chain has stepped
+
+    def dot_into(a, b, out):
+        """The dot products of the component-major vectors a and b, into out."""
+        p = out[:, None, :] if prod is None else prod[:len(out)]
+        return _component_sum(np.multiply(a, b, out=p), out)
+
+    def step_chain(dW):
+        x0 = chain[0]
+        dot_into(chain, x0, dots)
+        q = np.subtract(1.0, dots[0], out=dots[0])
+        two_dot = np.multiply(dots[1:], 2.0, out=dots[1:])
+        # linear part [(1 - |x0|^2) I - 2 x0 x0^T] Xbar_k, every order at once
+        np.multiply(chain[1:], q, out=inc)
+        np.subtract(inc, np.multiply(two_dot[:, None, :], x0, out=scratch), out=inc)
+        for lo in pair_dot:
+            dot_into(chain[lo:K + 1 - lo], chain[lo], pair_dot[lo])
+            np.multiply(pair_dot[lo][:, None, :], x0, out=pair_x0[lo])
+        # the cubic nonlinearity's order-m part, summed in composition order
+        # from its first term (a start at +0.0 could only flip the sign of an
+        # all-zero sum, which no Xbar_m shows); (Xbar_i . Xbar_j) Xbar_k is
+        # shared by (i, j, k) and (j, i, k)
+        shared = {}
+        for f, (pairs, triples) in zip(scratch[1:], forcing_plan):
+            for c, (i, j) in enumerate(pairs):
+                # (Xbar_i . Xbar_j) x0 + 2 (Xbar_i . x0) Xbar_j
+                term = np.multiply(two_dot[i - 1], chain[j], out=f if c == 0 else scratch[0])
+                term += pair_x0[min(i, j)][abs(j - i)]
+                if c:
+                    f += term
+            for (i, j, k) in triples:
+                key = (min(i, j), max(i, j), k)
+                if key not in shared:
+                    shared[key] = pair_dot[key[0]][key[1] - key[0]] * chain[k]
+                f += shared[key]
+        inc[1:] -= scratch[1:]
+        np.multiply(inc, dt, out=inc)
+        inc[0] += np.multiply(dW, sqrt2, out=scratch[0])
+        chain[1:] += inc
 
     out_x0, out_xbar, out_xfull = {}, {}, {eps: {} for eps in noise}
-    lost = {key: np.zeros(n_paths, dtype=bool) for key in (None,) + noise}
+    lost = {key: np.zeros(n, dtype=bool) for key in (None,) + noise}
     first_abort = None
-    sqrt_dt = np.sqrt(cfg.dt)
-    sqrt2 = np.sqrt(2.0)
-    dt = cfg.dt
     want = set(slice_steps)
 
     def snapshot(step):
-        out_x0[step] = x0.copy()
-        out_xbar[step] = [x.copy() for x in xbar]
+        out_x0[step] = chain[0].T.copy()
+        out_xbar[step] = [x.T.copy() for x in chain[1:]]
         for i, eps in enumerate(noise):
-            out_xfull[eps][step] = xfull[i].copy()
+            out_xfull[eps][step] = xfull[i].T.copy()
 
-    def flag(mask, name, arr, step):
+    def flag(mask, name, bad, step):
         nonlocal first_abort
-        new = ~np.all(np.isfinite(arr), axis=1) & ~mask
+        new = bad & ~mask
         if np.any(new):
             if first_abort is None:
                 first_abort = (step, name)
             mask |= new
 
     def check(step):
+        bad = ~np.all(np.isfinite(xfull), axis=1)
         for i, eps in enumerate(noise):
-            flag(lost[eps], f"xfull(eps={eps:g})", xfull[i], step)
-        chain = [("xbar0", x0)] + [(f"xbar{k}", xbar[k - 1]) for k in range(1, cfg.order + 1)]
-        for name, arr in chain:
-            flag(lost[None], name, arr, step)
+            flag(lost[eps], f"xfull(eps={eps:g})", bad[i], step)
+        bad = ~np.all(np.isfinite(chain), axis=1)
+        for k in range(K + 1):
+            flag(lost[None], f"xbar{k}", bad[k], step)
         # a path lost in the chain is lost to every trajectory
         if np.any(lost[None]):
-            for _, arr in chain:
-                arr[lost[None]] = np.nan
+            chain[:, :, lost[None]] = np.nan
         for i, eps in enumerate(noise):
             lost[eps] |= lost[None]
             if np.any(lost[eps]):
-                xfull[i][lost[eps]] = np.nan
+                xfull[i][:, lost[eps]] = np.nan
 
     if 0 in want:
         snapshot(0)
-    for step in range(1, cfg.n_steps + 1):
-        if zero_noise:
-            dW = np.zeros((n_paths, cfg.dim))
-        else:
-            dW = sqrt_dt * rng.standard_normal((n_paths, cfg.dim))
-        if _record is not None:
-            _record.append(dW)
-        if noise:
-            # diverging paths overflow before they are frozen to NaN; the
-            # abort bookkeeping handles them, so the warnings are noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                r2_full = _row_dot(xfull, xfull)
-                xfull += (1.0 - r2_full) * xfull * dt + sqrt_2eps * dW
-        if cfg.order >= 1:
-            r2 = _row_dot(x0, x0)
-            # higher orders first: they are forced by the lower orders at
-            # the *previous* time, so update from the top down
-            for m in range(cfg.order, 1, -1):
-                xbar[m - 1] += (_linearized_apply(x0, r2, xbar[m - 1])
-                                - _forcing(x0, [None] + xbar, m)) * dt
-            xbar[0] += _linearized_apply(x0, r2, xbar[0]) * dt + sqrt2 * dW
-        x0 = xi0 / np.sqrt(r2_xi0 + (1.0 - r2_xi0) * np.exp(-2.0 * step * dt))
-        if step % NAN_CHECK_STRIDE == 0 or step in want or step == cfg.n_steps:
-            check(step)
-        if step in want:
-            snapshot(step)
+    # diverging paths overflow before they are frozen to NaN; the abort
+    # bookkeeping handles them, so the warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            b = (step - 1) % block
+            if b == 0:
+                size = min(block, n_steps - step + 1)
+                rng.standard_normal(out=z[:size])
+                np.multiply(z[:size].transpose(0, 2, 1), sqrt_dt, out=dW_block[:size])
+            dW = dW_block[b]
+            if levels:
+                dot_into(xfull, xfull, r2_full)
+                np.subtract(1.0, r2_full, out=r2_full)
+                np.multiply(xfull, r2_full[:, None, :], out=drift_full)
+                drift_full *= dt
+                drift_full += np.multiply(dW, sqrt_2eps, out=noise_full)
+                xfull += drift_full
+            if K >= 1:
+                # every order is forced by the lower orders at the previous
+                # time: all increments are taken before any order moves
+                step_chain(dW)
+            np.multiply(one_minus_r2_xi0, np.exp(-2.0 * step * dt), out=den)
+            den += r2_xi0
+            np.divide(xi0_cm, np.sqrt(den, out=den), out=chain[0])
+            if step % NAN_CHECK_STRIDE == 0 or step in want or step == n_steps:
+                check(step)
+            if step in want:
+                snapshot(step)
     return BatchResult(slice_steps, out_x0, out_xbar, out_xfull, xi0, xis, lost, first_abort)
-
-
-def simulate_path(
-    cfg: SimConfig,
-    law: InitialLaw,
-    rng: np.random.Generator,
-    zero_noise: bool = False,
-) -> FluctuationPath:
-    """One joint sample path with the full grid and the increments retained."""
-    record: list = []
-    res = simulate_batch(
-        cfg, law, 1, rng, slice_steps=range(cfg.n_steps + 1),
-        noise=(cfg.eps,), zero_noise=zero_noise, _record=record,
-    )
-    if res.first_abort is not None:
-        raise SimulationAbort(*res.first_abort)
-    K = cfg.n_steps
-    xfull = np.stack([res.xfull[cfg.eps][s][0] for s in range(K + 1)])
-    xbar = [np.stack([res.xbar_at(s, k)[0] for s in range(K + 1)]) for k in range(cfg.order + 1)]
-    dW = np.stack([w[0] for w in record])
-    return FluctuationPath(
-        times=cfg.times, eps=cfg.eps, xfull=xfull, xbar=xbar,
-        brownian_increments=dW, xi0=res.xi0[0], config=cfg,
-    )
-
-
-def remainder(path: FluctuationPath, m: int, t_index: int) -> np.ndarray:
-    """w_{eps,m} = (X_eps - sum_{k<=m} eps^{k/2} Xbar_k) / eps^{m/2} at a grid index."""
-    if not 0 <= m <= path.order:
-        raise ValueError(f"m must be in [0, {path.order}]")
-    if not 0 <= t_index < len(path.times):
-        raise IndexError("t_index off the grid")
-    acc = path.xfull[t_index].copy()
-    for k in range(m + 1):
-        acc -= path.eps ** (k / 2.0) * path.xbar[k][t_index]
-    return acc / path.eps ** (m / 2.0)
-
-
-def decompose_radial_tangential(path: FluctuationPath, k: int):
-    """Split Xbar_k along and orthogonal to the limit direction xi0/|xi0| (d >= 2)."""
-    if path.dim < 2:
-        raise ValueError("radial/tangential split requires d >= 2")
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    direction = path.xi0 / np.linalg.norm(path.xi0)
-    series = path.xbar[k]
-    r = series @ direction
-    v = series - r[:, None] * direction[None, :]
-    return r, v
-
-
-def s_path(path: FluctuationPath, m: int, i: int) -> np.ndarray:
-    """Pointwise composition sum S_{m,i} over the stored scalar trajectories."""
-    if path.dim != 1:
-        raise ValueError("s_path requires d = 1")
-    if not 1 <= i <= m <= path.order:
-        raise ValueError("need 1 <= i <= m <= order")
-    return combinatorics.s_value(m, i, [None] + [path.xbar[k][:, 0] for k in range(1, m + 1)])

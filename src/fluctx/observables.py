@@ -10,7 +10,6 @@ same tensors are reapplied across large Monte Carlo batches.
 from __future__ import annotations
 
 import re
-import threading
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +47,6 @@ class Observable:
         self.dim = dim
         self.max_degree = max((sum(a) for a in self.terms), default=0)
         self._partials: Dict[MultiIndex, "Observable"] = {}
-        self._lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------------
 
@@ -95,34 +93,29 @@ class Observable:
     def partial(self, index: Sequence[int]) -> "Observable":
         """Iterated partial derivative d^k F / dx_{j_1}..dx_{j_k} (0-based j).
 
-        Memoized on the sorted index tuple (partials commute); the fill is
-        idempotent, so concurrent readers are safe.
+        Memoized on the sorted index tuple (partials commute).
         """
         key = tuple(sorted(index))
         cached = self._partials.get(key)
         if cached is not None:
             return cached
-        with self._lock:
-            cached = self._partials.get(key)
-            if cached is not None:
-                return cached
-            terms: Dict[MultiIndex, float] = {}
-            for alpha, c in self.terms.items():
-                a = list(alpha)
-                coef = c
-                ok = True
-                for j in key:
-                    if a[j] == 0:
-                        ok = False
-                        break
-                    coef *= a[j]
-                    a[j] -= 1
-                if ok:
-                    t = tuple(a)
-                    terms[t] = terms.get(t, 0.0) + coef
-            out = Observable(terms, self.dim)
-            self._partials[key] = out
-            return out
+        terms: Dict[MultiIndex, float] = {}
+        for alpha, c in self.terms.items():
+            a = list(alpha)
+            coef = c
+            ok = True
+            for j in key:
+                if a[j] == 0:
+                    ok = False
+                    break
+                coef *= a[j]
+                a[j] -= 1
+            if ok:
+                t = tuple(a)
+                terms[t] = terms.get(t, 0.0) + coef
+        out = Observable(terms, self.dim)
+        self._partials[key] = out
+        return out
 
     def apply_derivative(self, order: int, x: np.ndarray, vs: Sequence[np.ndarray]) -> float:
         """D^i F(x)(v_1, ..., v_i), the symmetric i-linear derivative map."""

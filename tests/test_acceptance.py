@@ -9,7 +9,6 @@ the full-suite log shows the verdicts at a glance.
 import csv
 import dataclasses
 import math
-import os
 import time
 from pathlib import Path
 
@@ -18,13 +17,14 @@ import numpy as np
 from fluctx.cli import parse_config, run_experiment
 from fluctx.combinatorics import s_value
 from fluctx.equilibrium import stationarity_defect
-from fluctx.estimators import estimate_a
+from fluctx.estimators import a_functional, batch_layout
 from fluctx.hierarchy import InitialLaw, SimConfig
 from fluctx.observables import Observable, parse_polynomial
 
+from pathwise import batch_slot, mc_multi_slots
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "out"
-WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _matches_golden(name, fresh):
@@ -57,7 +57,7 @@ def _run(name, tmp_path):
     out = tmp_path / name
     cfg = dataclasses.replace(cfg, output_dir=str(out))
     t0 = time.perf_counter()
-    code = run_experiment(cfg, workers=WORKERS)
+    code = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     rows = {}
     with open(out / "results.csv") as fh:
@@ -168,13 +168,21 @@ def test_criterion_8_property_suites(capsys):
     defect, scale = stationarity_defect(parse_polynomial("x1^4 - x1^2", 1), 0.1)
     checks["stationarity"] = abs(defect) <= 1e-10 * scale
 
-    # estimator output is independent of the worker count
+    # batches are independent: batch b simulated alone from its own
+    # substream reproduces its slot of the full estimator run
     cfg = SimConfig(dim=1, order=2, eps=0.1, dt=5e-3, t_final=0.5)
     law = InitialLaw(kind="symmetric_two_point", point=(1.0,), higher_std=(1.0,))
     X2 = parse_polynomial("x1^2", 1)
-    one = estimate_a(2, 0.5, X2, cfg, law, 2000, seed=5, workers=1)
-    four = estimate_a(2, 0.5, X2, cfg, law, 2000, seed=5, workers=4)
-    checks["worker_determinism"] = one == four
+    step = cfg.grid_index(0.5)
+
+    def a2(res):
+        return a_functional(2, X2, res, step)
+
+    _, slots = mc_multi_slots({"a2": a2}, cfg, law, 2000, 5, [step], noise=())
+    sizes = batch_layout(2000, 40)
+    checks["batch_independence"] = all(
+        batch_slot(a2, cfg, law, sizes[b], 5, b, [step], ()) == slots["a2"][b]
+        for b in (39, 20, 0))
 
     ok = all(checks.values())
     _report(capsys, 8, ok,

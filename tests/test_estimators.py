@@ -20,6 +20,8 @@ from fluctx.hierarchy import InitialLaw, SimConfig
 from fluctx.model import flow_exact
 from fluctx.observables import parse_polynomial
 
+from pathwise import batch_slot, mc_multi_slots
+
 X2 = parse_polynomial("x1^2", 1)
 
 POINT_LAW = InitialLaw(kind="symmetric_two_point", point=(1.0,), higher_std=(1.0,))
@@ -74,12 +76,22 @@ class TestEstimateA:
         est = estimate_a(1, 1.0, X2, cfg, POINT_LAW, 20000, seed=3)
         assert est.agrees_with(0.0)
 
-    def test_worker_count_is_invisible(self):
+    def test_batch_independence(self):
+        # each batch is its own substream: simulated alone, in any order,
+        # batch b reproduces its (sum, count, aborted) slot of the full run
         cfg = _cfg(order=2, dt=5e-3, t_final=1.0)
-        one = estimate_a(2, 1.0, X2, cfg, ANNULUS, 4000, seed=4, workers=1)
-        four = estimate_a(2, 1.0, X2, cfg, ANNULUS, 4000, seed=4, workers=4)
-        assert one.value == four.value
-        assert one.stderr == four.stderr
+        step = cfg.grid_index(1.0)
+        quantities = {"a2": lambda res: a_functional(2, X2, res, step),
+                      "w1": strong_remainder_sq(cfg, step)[1]}
+        est, slots = mc_multi_slots(quantities, cfg, ANNULUS, 4000, 4, [step],
+                                    noise=(cfg.eps,))
+        assert est["a2"] == estimate_a(2, 1.0, X2, cfg, ANNULUS, 4000, seed=4)
+        sizes = batch_layout(4000, 40)
+        for name, fn in quantities.items():
+            assert len(slots[name]) == 40
+            for b in (39, 17, 0):
+                assert batch_slot(fn, cfg, ANNULUS, sizes[b], 4, b, [step],
+                                  (cfg.eps,)) == slots[name][b]
 
     def test_grid_refinement_stability(self):
         coarse = estimate_a(2, 1.0, X2, _cfg(order=2, dt=4e-3, t_final=1.0),

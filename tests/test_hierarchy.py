@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from fluctx.hierarchy import (
+    DRAW_BLOCK,
     InitialLaw,
     SimConfig,
-    SimulationAbort,
-    _row_dot,
-    decompose_radial_tangential,
+    _component_sum,
     path_rng,
-    remainder,
-    s_path,
     simulate_batch,
-    simulate_path,
 )
 from fluctx.model import flow_exact_batch
+
+import reference_kernel
+from pathwise import (
+    SimulationAbort,
+    ZeroNormals,
+    decompose_radial_tangential,
+    remainder,
+    s_path,
+    simulate_path,
+)
 
 
 def _rng(seed=0, idx=0):
@@ -261,12 +267,29 @@ class TestVectorStructure:
 
 class TestRowDot:
     def test_bitwise_equal_to_np_sum(self):
+        # the component-major dot against np.sum over the same rows held
+        # row-major, stacked as the kernel stacks them; d = 9 takes the
+        # branch for numpy's pairwise row sums
         rng = np.random.default_rng(31)
-        for shape in ((1000, 1), (1000, 3), (4, 1000, 1)):
+        for shape in ((1000, 1), (1000, 3), (4, 1000, 1), (4, 1000, 3), (1000, 9)):
             a, b = rng.standard_normal(shape), rng.standard_normal(shape)
-            a[::7], b[::5], a[::11], a[::13] = 0.0, -0.0, np.nan, np.inf
+            a[..., ::7, :], b[..., ::5, :] = 0.0, -0.0
+            a[..., ::11, :], a[..., ::13, :] = np.nan, np.inf
             with np.errstate(invalid="ignore"):
-                assert _row_dot(a, b).tobytes() == np.sum(a * b, axis=-1, keepdims=True).tobytes()
+                p = np.swapaxes(a * b, -1, -2).copy()
+                out = np.empty(p.shape[:-2] + p.shape[-1:])
+                got = _component_sum(p, out)
+                want = np.sum(a * b, axis=-1)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_sums(self):
+        # np.sum starts from +0.0: a row of -0.0 products sums to +0.0,
+        # and the sequential (p0 + p1) + p2 would give -0.0
+        for d in (1, 3):
+            p = np.full((d, 4), -0.0)
+            got = _component_sum(p, np.empty(4))
+            assert got.tobytes() == np.sum(p.T, axis=-1).tobytes() == np.zeros(4).tobytes()
 
 
 NOISE = (0.05, 0.02, 0.01, 0.005)
@@ -334,3 +357,99 @@ class TestAborts:
         law = InitialLaw(kind="deterministic_point", point=(1.0,))
         with pytest.raises(ValueError):
             simulate_batch(cfg, law, 4, _rng(17), [cfg.n_steps + 5])
+
+
+class _TrajectoryBlowup(InitialLaw):
+    """X_0.05 starts far beyond the Euler stability bound on path 1 only."""
+
+    def xi_eps(self, xi0, xis, eps):
+        out = super().xi_eps(xi0, xis, eps)
+        if eps == 0.05:
+            out[1] = 50.0
+        return out
+
+
+class _ChainBlowup(InitialLaw):
+    """xi_1 = inf on path 2, so the chain aborts there; each X_eps starts from xi_0."""
+
+    def sample(self, rng, n, dim, order):
+        xi0, xis = super().sample(rng, n, dim, order)
+        xis[0][2] = np.inf
+        return xi0, xis
+
+    def xi_eps(self, xi0, xis, eps):
+        return xi0.copy()
+
+
+def _assert_same_batch(new, old):
+    assert new.slice_steps == old.slice_steps
+    assert new.first_abort == old.first_abort
+    assert list(new.lost) == list(old.lost)
+    for key in old.lost:
+        assert new.lost[key].tobytes() == old.lost[key].tobytes()
+    assert list(new.x0) == list(old.x0) and list(new.xbar) == list(old.xbar)
+    for step in old.x0:
+        assert new.x0[step].shape == old.x0[step].shape
+        assert new.x0[step].tobytes() == old.x0[step].tobytes()
+        assert len(new.xbar[step]) == len(old.xbar[step])
+        for a, b in zip(new.xbar[step], old.xbar[step]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert list(new.xfull) == list(old.xfull)
+    for eps in old.xfull:
+        assert list(new.xfull[eps]) == list(old.xfull[eps])
+        for step in old.xfull[eps]:
+            a, b = new.xfull[eps][step], old.xfull[eps][step]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReferenceKernel:
+    """The component-major kernel against the frozen row-major one, byte for byte."""
+
+    # 300 paths: a draw block of DRAW_BLOCK // (300 d) steps, which 137
+    # steps are not a multiple of at d = 1, 2 or 3
+    N, CFG = 300, dict(dt=1e-2, t_final=1.37)
+    LAW = InitialLaw(kind="uniform_annulus", r_min=0.6, r_max=1.4,
+                     higher_std=(1.0, 0.5, 0.25, 0.1))
+
+    def _compare(self, law, dim, order, noise, seed=41):
+        cfg = SimConfig(dim=dim, order=order, **self.CFG)
+        steps = [0, cfg.n_steps // 2, cfg.n_steps]
+        new = simulate_batch(cfg, law, self.N, path_rng(seed, dim), steps, noise=noise)
+        old = reference_kernel.simulate_batch(cfg, law, self.N, path_rng(seed, dim), steps,
+                                              noise=noise)
+        _assert_same_batch(new, old)
+        return new
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    @pytest.mark.parametrize("order", (0, 1, 2, 3, 4))
+    @pytest.mark.parametrize("noise", ((), (0.05,), NOISE))
+    def test_matches_row_major_kernel(self, dim, order, noise):
+        cfg = SimConfig(dim=dim, order=order, **self.CFG)
+        assert cfg.n_steps % (DRAW_BLOCK // (self.N * dim)) != 0
+        self._compare(self.LAW, dim, order, noise)
+
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_blowup_in_one_trajectory(self, dim):
+        law = _TrajectoryBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        res = self._compare(law, dim, 2, NOISE)
+        assert np.flatnonzero(res.lost[0.05]).tolist() == [1]
+        assert not any(res.lost[eps].any() for eps in NOISE[1:]) and not res.lost[None].any()
+        assert res.first_abort[1] == "xfull(eps=0.05)"
+
+    @pytest.mark.parametrize("dim", (1, 3))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_blowup_in_the_chain(self, dim):
+        law = _ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        res = self._compare(law, dim, 3, (0.05, 0.01))
+        for key in (None, 0.05, 0.01):
+            assert np.flatnonzero(res.lost[key]).tolist() == [2]
+        assert res.first_abort[1] == "xbar1"
+        assert np.isnan(res.xbar_at(res.slice_steps[-1], 3)[2]).all()
+
+    def test_zero_noise(self):
+        law = InitialLaw(kind="deterministic_point", point=(0.3, -0.4, 0.0), higher_std=(0.5,))
+        cfg = SimConfig(dim=3, order=2, **self.CFG)
+        new = simulate_batch(cfg, law, 50, ZeroNormals(), [cfg.n_steps], noise=(0.1,))
+        old = reference_kernel.simulate_batch(cfg, law, 50, ZeroNormals(), [cfg.n_steps],
+                                              noise=(0.1,))
+        _assert_same_batch(new, old)
