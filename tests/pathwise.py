@@ -5,9 +5,10 @@ retained and replays the Brownian increments from a copy of the path's
 generator, taken after the initial law has drawn its sample; the kernel
 draws its increments from the same stream in the same order, so the
 replay is bit for bit what it consumed.  `ZeroNormals` stands in for the
-generator when a noise-free run is wanted.  `batch_slot` re-simulates
-one batch of an `mc_multi` run alone, and `mc_multi_slots` shows the
-per-batch slots that run reduced.
+generator when a noise-free run is wanted, and `ChainBlowup` is a law
+whose chain aborts on the first path of every batch.  `batch_slot`
+re-simulates one batch of an `mc_multi` run alone, and `mc_multi_slots`
+shows the per-batch slots that run reduced.
 """
 
 import copy
@@ -37,6 +38,18 @@ class ZeroNormals:
             return np.zeros(size)
         out[...] = 0.0
         return out
+
+
+class ChainBlowup(InitialLaw):
+    """xi_1 = inf on the first path of every batch; each X_eps starts from xi_0 alone."""
+
+    def sample(self, rng, n, dim, order):
+        xi0, xis = super().sample(rng, n, dim, order)
+        xis[0][0] = np.inf
+        return xi0, xis
+
+    def xi_eps(self, xi0, xis, eps):
+        return xi0.copy()
 
 
 @dataclass

@@ -20,7 +20,7 @@ from fluctx.hierarchy import InitialLaw, SimConfig
 from fluctx.model import flow_exact
 from fluctx.observables import parse_polynomial
 
-from pathwise import batch_slot, mc_multi_slots
+from pathwise import ChainBlowup, batch_slot, mc_multi_slots
 
 X2 = parse_polynomial("x1^2", 1)
 
@@ -247,18 +247,6 @@ class TestMcMulti:
                      cfg, law, 100, 19, [50], noise=())
 
 
-class _ChainBlowup(InitialLaw):
-    """xi_1 = inf on the first path of every batch; each X_eps starts from xi_0 alone."""
-
-    def sample(self, rng, n, dim, order):
-        xi0, xis = super().sample(rng, n, dim, order)
-        xis[0][0] = np.inf
-        return xi0, xis
-
-    def xi_eps(self, xi0, xis, eps):
-        return xi0.copy()
-
-
 class TestAbortIsolation:
     # xi_1 with std 17 puts 8 of these 20 000 X_0.05 starts beyond the Euler
     # stability bound |x| ~ sqrt(2 / dt): X_0.05 blows up there, while the
@@ -288,7 +276,7 @@ class TestAbortIsolation:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_chain_abort_leaves_every_quantity(self):
         cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
-        law = _ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
         out = mc_multi(self._quantities(cfg, self.NOISE, 50), cfg, law, 20000, 5, [50],
                        noise=self.NOISE, n_batches=20)
         for name in ("a1",) + self.NOISE:

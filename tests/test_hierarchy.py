@@ -13,6 +13,7 @@ from fluctx.model import flow_exact_batch
 
 import reference_kernel
 from pathwise import (
+    ChainBlowup,
     SimulationAbort,
     ZeroNormals,
     decompose_radial_tangential,
@@ -268,8 +269,10 @@ class TestVectorStructure:
 class TestRowDot:
     def test_bitwise_equal_to_np_sum(self):
         # the component-major dot against np.sum over the same rows held
-        # row-major, stacked as the kernel stacks them; d = 9 takes the
-        # branch for numpy's pairwise row sums
+        # row-major, stacked as the kernel stacks them.  np.sum starts from
+        # +0.0, so rows of -0.0 products (a = 0, b = -0) sum to +0.0, where
+        # a plain (p0 + p1) + p2 gives -0.0; d = 9 takes the branch for
+        # numpy's pairwise row sums
         rng = np.random.default_rng(31)
         for shape in ((1000, 1), (1000, 3), (4, 1000, 1), (4, 1000, 3), (1000, 9)):
             a, b = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -282,14 +285,6 @@ class TestRowDot:
                 want = np.sum(a * b, axis=-1)
             assert got is out
             assert got.tobytes() == want.tobytes()
-
-    def test_signed_zero_sums(self):
-        # np.sum starts from +0.0: a row of -0.0 products sums to +0.0,
-        # and the sequential (p0 + p1) + p2 would give -0.0
-        for d in (1, 3):
-            p = np.full((d, 4), -0.0)
-            got = _component_sum(p, np.empty(4))
-            assert got.tobytes() == np.sum(p.T, axis=-1).tobytes() == np.zeros(4).tobytes()
 
 
 NOISE = (0.05, 0.02, 0.01, 0.005)
@@ -369,18 +364,6 @@ class _TrajectoryBlowup(InitialLaw):
         return out
 
 
-class _ChainBlowup(InitialLaw):
-    """xi_1 = inf on path 2, so the chain aborts there; each X_eps starts from xi_0."""
-
-    def sample(self, rng, n, dim, order):
-        xi0, xis = super().sample(rng, n, dim, order)
-        xis[0][2] = np.inf
-        return xi0, xis
-
-    def xi_eps(self, xi0, xis, eps):
-        return xi0.copy()
-
-
 def _assert_same_batch(new, old):
     assert new.slice_steps == old.slice_steps
     assert new.first_abort == old.first_abort
@@ -439,12 +422,12 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("dim", (1, 3))
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_blowup_in_the_chain(self, dim):
-        law = _ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
         res = self._compare(law, dim, 3, (0.05, 0.01))
         for key in (None, 0.05, 0.01):
-            assert np.flatnonzero(res.lost[key]).tolist() == [2]
+            assert np.flatnonzero(res.lost[key]).tolist() == [0]
         assert res.first_abort[1] == "xbar1"
-        assert np.isnan(res.xbar_at(res.slice_steps[-1], 3)[2]).all()
+        assert np.isnan(res.xbar_at(res.slice_steps[-1], 3)[0]).all()
 
     def test_zero_noise(self):
         law = InitialLaw(kind="deterministic_point", point=(0.3, -0.4, 0.0), higher_std=(0.5,))
