@@ -90,6 +90,10 @@ class ExperimentConfig:
         higher_std = spec.pop("higher_std", ())
         for key in spec:
             raise ConfigError(f"unknown initial_law key {key!r}", f"/initial_law/{key}")
+        for key, values in (("point", point), ("higher_std", higher_std)):
+            if values is not None and not (isinstance(values, (list, tuple)) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+                raise ConfigError(f"{key} must be a list of numbers", f"/initial_law/{key}")
         try:
             return InitialLaw(
                 kind=kind,
@@ -171,6 +175,8 @@ def parse_config(path) -> ExperimentConfig:
         if key in clean and not clean[key]:
             raise ConfigError(f"{key} must not be empty", f"/{key}")
     cfg = ExperimentConfig(**clean)
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0", "/seed")
     if cfg.dim < 1:
         raise ConfigError("dim must be >= 1", "/dim")
     if not 0 <= cfg.order <= MAX_ORDER:

@@ -18,10 +18,22 @@ to (n_paths, dim), so estimators can run 1e5+ paths without storing
 trajectories.  Aborts are tracked per trajectory: a path that diverges in
 the chain is lost to every quantity, one that diverges in the X_eps
 trajectory only to quantities reading that trajectory.
+
+The Brownian increments are drawn in blocks of up to DRAW_BLOCK doubles.
+From DRAW_AHEAD_WIDTH doubles a step (n_paths * dim) on, one helper
+thread draws them, up to DRAW_RING blocks ahead of the stepping loop, so
+the Philox draw runs on a second core beside it; narrower steps draw
+inline, where the thread handoffs would cost more than the draw.  Either
+way the same function fills each block, the generator yields the same
+numbers in the same order and is left in the same state.
 """
 
 from __future__ import annotations
 
+import itertools
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -30,7 +42,9 @@ import numpy as np
 from . import combinatorics
 
 NAN_CHECK_STRIDE = 25
-DRAW_BLOCK = 16384  # doubles of standard normals drawn at a time (128 KB)
+DRAW_BLOCK = 32768  # doubles of standard normals drawn at a time (256 KB)
+DRAW_AHEAD_WIDTH = 2048  # doubles a step from which a helper thread draws ahead
+DRAW_RING = 3  # blocks of increments the helper may have drawn and not yet handed back
 
 
 @dataclass(frozen=True)
@@ -167,6 +181,67 @@ def _component_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.swapaxes(p, -1, -2).copy(), axis=-1, out=out)
 
 
+@contextmanager
+def _increment_blocks(rng, n_steps: int, n: int, d: int, dt: float):
+    """The Brownian increments sqrt(dt) Z of n_steps steps, as an iterator of blocks.
+
+    Each block is a (steps, d, n) component-major view, valid until the
+    next one is taken; together they are the rng's next n_steps * n * d
+    standard normals, read in (step, path, component) order.  Below
+    DRAW_AHEAD_WIDTH doubles a step the blocks are drawn inline, when
+    taken.  From there on a helper thread draws up to DRAW_RING blocks
+    ahead of the caller, and only it touches rng until it is joined on
+    leaving the context; Philox's fill and the ufunc loops release the
+    GIL, so the draw runs beside the caller's stepping.  An exception in
+    the helper is raised from the iterator.
+    """
+    block = max(1, min(n_steps, DRAW_BLOCK // (n * d)))
+    sizes = [min(block, n_steps - start) for start in range(0, n_steps, block)]
+    sqrt_dt = np.sqrt(dt)
+    # at d = 1 the transposed increments share the draws' memory
+    z = None if d == 1 else np.empty((block, n, d))
+
+    def fill(out, size):
+        draw = out.reshape(block, n, d) if z is None else z
+        rng.standard_normal(out=draw[:size])
+        return np.multiply(draw[:size].transpose(0, 2, 1), sqrt_dt, out=out[:size])
+
+    if n * d < DRAW_AHEAD_WIDTH:
+        out = np.empty((block, d, n))
+        yield (fill(out, size) for size in sizes)
+        return
+
+    free, ready = queue.Queue(), queue.Queue()
+    for _ in range(DRAW_RING):
+        free.put(np.empty((block, d, n)))
+
+    def draw_ahead():
+        try:
+            for size in sizes:
+                out = free.get()
+                if out is None:
+                    return
+                ready.put((out, fill(out, size)))
+        except BaseException as exc:  # handed to the caller, which raises it
+            ready.put((None, exc))
+
+    def blocks():
+        for _ in sizes:
+            out, item = ready.get()
+            if out is None:
+                raise item
+            yield item
+            free.put(out)
+
+    helper = threading.Thread(target=draw_ahead, name="fluctx-draw-ahead", daemon=True)
+    helper.start()
+    try:
+        yield blocks()
+    finally:
+        free.put(None)
+        helper.join()
+
+
 class BatchResult:
     """Time slices of a batch simulation, plus abort diagnostics."""
 
@@ -240,15 +315,10 @@ def simulate_batch(
     for i, eps in enumerate(noise):
         xfull[i] = law.xi_eps(xi0, xis, eps).T
     sqrt_2eps = np.sqrt(2.0 * np.asarray(noise, dtype=float))[:, None, None]
-    sqrt_dt = np.sqrt(dt)
     sqrt2 = np.sqrt(2.0)
 
-    # preallocated buffers; the increments are drawn `block` steps at a time
-    block = max(1, min(n_steps, DRAW_BLOCK // (n * d)))
-    z = np.empty((block, n, d))
-    # at d = 1 the transposed increments share the draws' memory, and each
-    # dot product is formed in its own output row
-    dW_block = z.reshape(block, d, n) if d == 1 else np.empty((block, d, n))
+    # preallocated buffers; at d = 1 each dot product is formed in its own
+    # output row
     prod = None if d == 1 else np.empty((max(K + 1, levels), d, n))
     r2_full, drift_full, noise_full = (np.empty((levels, n)), np.empty((levels, d, n)),
                                        np.empty((levels, d, n)))
@@ -338,14 +408,9 @@ def simulate_batch(
         snapshot(0)
     # diverging paths overflow before they are frozen to NaN; the abort
     # bookkeeping handles them, so the warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            b = (step - 1) % block
-            if b == 0:
-                size = min(block, n_steps - step + 1)
-                rng.standard_normal(out=z[:size])
-                np.multiply(z[:size].transpose(0, 2, 1), sqrt_dt, out=dW_block[:size])
-            dW = dW_block[b]
+    with _increment_blocks(rng, n_steps, n, d, dt) as blocks, \
+            np.errstate(over="ignore", invalid="ignore"):
+        for step, dW in enumerate(itertools.chain.from_iterable(blocks), start=1):
             if levels:
                 dot_into(xfull, xfull, r2_full)
                 np.subtract(1.0, r2_full, out=r2_full)

@@ -82,6 +82,12 @@ class TestParseConfig:
                 parse_config(write_config(tmp_path, **fields))
             assert err.value.pointer == pointer
 
+    def test_negative_seed(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, seed=-1))
+        assert err.value.pointer == "/seed"
+        assert parse_config(write_config(tmp_path, seed=0)).seed == 0
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -123,6 +129,12 @@ LATE_FAILURES = [
      "/initial_law/point"),
     (dict(STRONG, time_grid=[0.005]), "/time_grid/0"),
     (dict(STRONG, eps_grid=[]), "/eps_grid"),
+    (dict(VECTOR, initial_law={"kind": "deterministic_point", "point": 1.0}),
+     "/initial_law/point"),
+    (dict(VECTOR, initial_law={"kind": "deterministic_point", "point": [1.0, "0"]}),
+     "/initial_law/point"),
+    (dict(STRONG, initial_law=dict(ANNULUS, higher_std=1.0)), "/initial_law/higher_std"),
+    (dict(STRONG, initial_law=dict(ANNULUS, higher_std=[None])), "/initial_law/higher_std"),
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
@@ -272,6 +284,14 @@ class TestMain:
         path = write_config(tmp_path)
         assert main(["consistency", "--config", str(path)]) == 1
         assert "/experiment" in capsys.readouterr().err
+
+    def test_law_type_error_exits_1_with_pointer(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, **dict(STRONG, output_dir=str(out),
+                                             initial_law=dict(ANNULUS, higher_std=1.0)))
+        assert main(["strong_rates", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("(at /initial_law/higher_std)")
+        assert not out.exists()
 
     def test_workers_accepted_and_ignored(self, tmp_path, capsys):
         out = tmp_path / "out"

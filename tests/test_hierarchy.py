@@ -1,8 +1,15 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from fluctx import hierarchy
 from fluctx.hierarchy import (
+    DRAW_AHEAD_WIDTH,
     DRAW_BLOCK,
+    DRAW_RING,
     InitialLaw,
     SimConfig,
     _component_sum,
@@ -436,3 +443,160 @@ class TestReferenceKernel:
         old = reference_kernel.simulate_batch(cfg, law, 50, ZeroNormals(), [cfg.n_steps],
                                               noise=(0.1,))
         _assert_same_batch(new, old)
+
+
+class _Recording:
+    """A generator that notes the thread of each block draw (out=), can slow each
+    down by `delay` seconds, and can fail at one."""
+
+    def __init__(self, rng, fail_at=None, delay=0.0):
+        self.rng, self.fail_at, self.delay, self.threads = rng, fail_at, delay, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            self.threads.append(threading.current_thread())
+            time.sleep(self.delay)
+            if len(self.threads) == self.fail_at:
+                raise RuntimeError("draw failed")
+        return self.rng.standard_normal(size, out=out)
+
+
+def _bounded(fn, timeout=60.0):
+    """fn() on its own thread, joined with a timeout: a hang fails instead of stalling."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # re-raised below, on the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "simulate_batch did not return"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestDrawAhead:
+    """From DRAW_AHEAD_WIDTH doubles a step on, a helper thread draws the increments."""
+
+    # paths per dim for a step of 2 100 doubles: blocks of 15 steps, which
+    # 137 steps are not a multiple of, and more blocks than the ring holds
+    N = {1: 2100, 3: 700}
+    CFG = TestReferenceKernel.CFG
+    LAW = TestReferenceKernel.LAW
+
+    def _compare(self, law, dim, order, noise, n=None):
+        n = n or self.N[dim]
+        cfg = SimConfig(dim=dim, order=order, **self.CFG)
+        steps = [0, cfg.n_steps // 2, cfg.n_steps]
+        rng, ref_rng = _Recording(path_rng(43, dim)), path_rng(43, dim)
+        new = simulate_batch(cfg, law, n, rng, steps, noise=noise)
+        old = reference_kernel.simulate_batch(cfg, law, n, ref_rng, steps, noise=noise)
+        _assert_same_batch(new, old)
+        # the generator is left where the step-by-step draws leave it
+        assert rng.standard_normal(5).tobytes() == ref_rng.standard_normal(5).tobytes()
+        return new, rng.threads
+
+    @pytest.mark.parametrize("dim", (1, 3))
+    @pytest.mark.parametrize("noise", ((), NOISE))
+    def test_matches_row_major_kernel(self, dim, noise):
+        n, n_steps = self.N[dim], SimConfig(dim=dim, order=3, **self.CFG).n_steps
+        block = DRAW_BLOCK // (n * dim)
+        assert n * dim >= DRAW_AHEAD_WIDTH
+        assert n_steps % block and n_steps // block > DRAW_RING
+        before = threading.active_count()
+        _, threads = self._compare(self.LAW, dim, 3, noise)
+        assert len(threads) == -(-n_steps // block)
+        assert threading.current_thread() not in threads
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_inline_below_the_width(self, dim):
+        n = 300
+        assert n * dim < DRAW_AHEAD_WIDTH
+        _, threads = self._compare(self.LAW, dim, 2, (0.05,), n=n)
+        assert set(threads) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("dim", (1, 3))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_blowup_in_the_chain(self, dim):
+        law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        res, _ = self._compare(law, dim, 3, (0.05, 0.01))
+        for key in (None, 0.05, 0.01):
+            assert np.flatnonzero(res.lost[key]).tolist() == [0]
+        assert res.first_abort[1] == "xbar1"
+
+    def test_zero_noise(self):
+        law = InitialLaw(kind="deterministic_point", point=(0.3, -0.4, 0.0), higher_std=(0.5,))
+        cfg = SimConfig(dim=3, order=2, **self.CFG)
+        n = self.N[3]
+        new = simulate_batch(cfg, law, n, ZeroNormals(), [cfg.n_steps], noise=(0.1,))
+        old = reference_kernel.simulate_batch(cfg, law, n, ZeroNormals(), [cfg.n_steps],
+                                              noise=(0.1,))
+        _assert_same_batch(new, old)
+
+    def test_concurrent_calls_under_fast_switching(self):
+        """Three calls at once, each with its own helper, switching threads every 10 us."""
+        cfg = SimConfig(dim=1, order=2, **self.CFG)
+        steps = [cfg.n_steps // 2, cfg.n_steps]
+        seeds = (46, 47, 48)
+        expected = [reference_kernel.simulate_batch(cfg, self.LAW, self.N[1], path_rng(s, 0),
+                                                    steps, noise=NOISE) for s in seeds]
+        results = {}
+
+        def run(s):
+            results[s] = simulate_batch(cfg, self.LAW, self.N[1], path_rng(s, 0), steps,
+                                        noise=NOISE)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(s,)) for s in seeds]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for s, old in zip(seeds, expected):
+            _assert_same_batch(results[s], old)
+
+    @pytest.mark.parametrize("fail_at", (1, 5))
+    def test_draw_error_reaches_the_caller(self, fail_at):
+        cfg = SimConfig(dim=1, order=2, **self.CFG)
+        rng = _Recording(path_rng(44, 0), fail_at=fail_at)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _bounded(lambda: simulate_batch(cfg, self.LAW, self.N[1], rng, [cfg.n_steps],
+                                            noise=NOISE))
+        assert threading.active_count() == before
+        assert rng.threads[-1] is not threading.current_thread()
+
+    def test_stepping_error_stops_the_helper(self, monkeypatch):
+        calls = []
+
+        def failing_sum(p, out):
+            calls.append(None)
+            if len(calls) == 40:
+                raise FloatingPointError("stepping failed")
+            return _component_sum(p, out)
+
+        monkeypatch.setattr(hierarchy, "_component_sum", failing_sum)
+        cfg = SimConfig(dim=1, order=2, **self.CFG)
+        # slow draws: the helper is still drawing ahead when the caller fails
+        rng = _Recording(path_rng(45, 0), delay=0.05)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="stepping failed"):
+            _bounded(lambda: simulate_batch(cfg, self.LAW, self.N[1], rng, [cfg.n_steps],
+                                            noise=NOISE))
+        # the helper was joined before the error left simulate_batch
+        assert not rng.threads[-1].is_alive()
+        assert threading.active_count() == before
