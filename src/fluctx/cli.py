@@ -90,8 +90,9 @@ class ExperimentConfig:
         higher_std = spec.pop("higher_std", ())
         for key in spec:
             raise ConfigError(f"unknown initial_law key {key!r}", f"/initial_law/{key}")
-        for key, values in (("point", point), ("higher_std", higher_std)):
-            if values is not None and not (isinstance(values, (list, tuple)) and all(
+        # point may be left out (None); higher_std may not be null
+        for key, values in (("point", () if point is None else point), ("higher_std", higher_std)):
+            if not (isinstance(values, (list, tuple)) and all(
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
                 raise ConfigError(f"{key} must be a list of numbers", f"/initial_law/{key}")
         try:

@@ -19,13 +19,15 @@ trajectories.  Aborts are tracked per trajectory: a path that diverges in
 the chain is lost to every quantity, one that diverges in the X_eps
 trajectory only to quantities reading that trajectory.
 
-The Brownian increments are drawn in blocks of up to DRAW_BLOCK doubles.
-From DRAW_AHEAD_WIDTH doubles a step (n_paths * dim) on, one helper
-thread draws them, up to DRAW_RING blocks ahead of the stepping loop, so
-the Philox draw runs on a second core beside it; narrower steps draw
-inline, where the thread handoffs would cost more than the draw.  Either
-way the same function fills each block, the generator yields the same
-numbers in the same order and is left in the same state.
+The Brownian increments are drawn a block of steps at a time.  Below
+DRAW_AHEAD_WIDTH doubles a step (n_paths * dim) they are drawn inline,
+in blocks of up to DRAW_BLOCK doubles.  From there on one helper thread
+draws them, in blocks of up to DRAW_AHEAD_BLOCK doubles and up to
+DRAW_RING blocks ahead of the stepping loop, so the Philox draw runs on
+a second core beside it; at narrower steps the thread handoffs cost more
+than the draw.  Either way the same function fills each block, the
+generator yields the same numbers in the same order and is left in the
+same state.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ import numpy as np
 from . import combinatorics
 
 NAN_CHECK_STRIDE = 25
-DRAW_BLOCK = 32768  # doubles of standard normals drawn at a time (256 KB)
+DRAW_BLOCK = 16384  # doubles of standard normals drawn at a time inline (128 KB)
 DRAW_AHEAD_WIDTH = 2048  # doubles a step from which a helper thread draws ahead
+DRAW_AHEAD_BLOCK = 32768  # doubles a block the helper draws at a time (256 KB)
 DRAW_RING = 3  # blocks of increments the helper may have drawn and not yet handed back
 
 
@@ -195,7 +198,8 @@ def _increment_blocks(rng, n_steps: int, n: int, d: int, dt: float):
     GIL, so the draw runs beside the caller's stepping.  An exception in
     the helper is raised from the iterator.
     """
-    block = max(1, min(n_steps, DRAW_BLOCK // (n * d)))
+    inline = n * d < DRAW_AHEAD_WIDTH
+    block = max(1, min(n_steps, (DRAW_BLOCK if inline else DRAW_AHEAD_BLOCK) // (n * d)))
     sizes = [min(block, n_steps - start) for start in range(0, n_steps, block)]
     sqrt_dt = np.sqrt(dt)
     # at d = 1 the transposed increments share the draws' memory
@@ -206,7 +210,7 @@ def _increment_blocks(rng, n_steps: int, n: int, d: int, dt: float):
         rng.standard_normal(out=draw[:size])
         return np.multiply(draw[:size].transpose(0, 2, 1), sqrt_dt, out=out[:size])
 
-    if n * d < DRAW_AHEAD_WIDTH:
+    if inline:
         out = np.empty((block, d, n))
         yield (fill(out, size) for size in sizes)
         return

@@ -7,6 +7,7 @@ import pytest
 
 from fluctx import hierarchy
 from fluctx.hierarchy import (
+    DRAW_AHEAD_BLOCK,
     DRAW_AHEAD_WIDTH,
     DRAW_BLOCK,
     DRAW_RING,
@@ -508,7 +509,7 @@ class TestDrawAhead:
     @pytest.mark.parametrize("noise", ((), NOISE))
     def test_matches_row_major_kernel(self, dim, noise):
         n, n_steps = self.N[dim], SimConfig(dim=dim, order=3, **self.CFG).n_steps
-        block = DRAW_BLOCK // (n * dim)
+        block = DRAW_AHEAD_BLOCK // (n * dim)
         assert n * dim >= DRAW_AHEAD_WIDTH
         assert n_steps % block and n_steps // block > DRAW_RING
         before = threading.active_count()
@@ -519,10 +520,12 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("dim", (1, 3))
     def test_inline_below_the_width(self, dim):
-        n = 300
+        n, n_steps = 300, SimConfig(dim=dim, order=2, **self.CFG).n_steps
         assert n * dim < DRAW_AHEAD_WIDTH
         _, threads = self._compare(self.LAW, dim, 2, (0.05,), n=n)
         assert set(threads) == {threading.current_thread()}
+        # inline blocks are DRAW_BLOCK doubles, not the helper's DRAW_AHEAD_BLOCK
+        assert len(threads) == -(-n_steps // (DRAW_BLOCK // (n * dim)))
 
     @pytest.mark.parametrize("dim", (1, 3))
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
