@@ -362,7 +362,11 @@ def _equilibrium_check(cfg):
         defect, scale = stationarity_defect(F, cfg.eps_grid[0])
         rows = [ResultRow(f"stationarity_defect(eps={cfg.eps_grid[0]:g})",
                           defect, None, 0.0, "derived", abs(defect) <= 1e-10 * scale)]
-        eps, residuals = expansion_residuals(F, cfg.order, cfg.eps_grid, table)
+        try:
+            eps, residuals = expansion_residuals(F, cfg.order, cfg.eps_grid, table)
+        except ValueError:  # a residual at the quadrature floor: no order to read off
+            return rows + [ResultRow("residual_order", float("nan"), None, 1.8, "paper",
+                                     False)], []
         for e, r in zip(eps, residuals):
             rows.append(ResultRow(f"residual(eps={e:g})", r, None, None, "none", True))
         fit = expansion_residual_order(eps, residuals)
@@ -407,6 +411,9 @@ def _strong_rates(cfg):
 
 def _weak_rates(cfg):
     law, F, eps_list = _law(cfg), cfg.parsed_observable(), _fit_eps(cfg)
+    if F.max_degree == 0:
+        raise ConfigError("weak_rates fits |v| over eps, which a constant observable makes 0",
+                          "/observable")
     t, m = max(cfg.time_grid), cfg.order
     sim, steps = _simulation(cfg, m)
     step = steps[t]
@@ -421,9 +428,11 @@ def _weak_rates(cfg):
     n_small = max(cfg.n_paths // 5, 1000)
     v0 = Request(f"v_0(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 1, [step],
                  (eps_c,), {"v": weak_remainder(0, F, replace(sim, eps=eps_c), step)})
-    coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 2,
-                     [step], (), {"a1": lambda res: a_functional(1, F, res, step),
-                                  "a2": lambda res: a_functional(2, F, res, step)})
+    # a_2 reads Xbar_2, so the chain goes up to order 2 whatever `order` is
+    coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion", _simulation(cfg, max(m, 2))[0],
+                     law, n_small, cfg.seed + 2, [step], (),
+                     {"a1": lambda res: a_functional(1, F, res, step),
+                      "a2": lambda res: a_functional(2, F, res, step)})
 
     def checks(est):
         rows, vals = [], []

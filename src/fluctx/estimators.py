@@ -62,15 +62,13 @@ def batch_layout(n_paths: int, n_batches: int) -> List[int]:
     return [base + (1 if b < rem else 0) for b in range(n_batches)]
 
 
-def _combine(slots, n_paths: int, name) -> McEstimate:
+def _combine(slots, name) -> McEstimate:
     """Batch-means reduction of per-batch (sum, count, aborted) triples.
 
     Batches that kept no paths (all masked out or aborted) carry no batch
     mean and are left out of the reduction.
     """
     aborted = sum(s[2] for s in slots)
-    if aborted > MAX_ABORT_FRACTION * n_paths:
-        raise EstimationError(f"{aborted} of {n_paths} paths aborted")
     slots = [s for s in slots if s[1] > 0]
     if not slots:
         raise EstimationError(f"no retained paths for quantity {name!r}")
@@ -105,7 +103,8 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
     `reads_noise(eps, ...)` reads the eps trajectory, which `noise` must
     list.  Paths aborted in the chain, or in the trajectory a quantity
     reads, are excluded from that quantity's mean and counted against it
-    (the run errors out if more than 0.1% of its paths abort); masked-out
+    (the run errors out at the first batch where more than 0.1% of its
+    paths have aborted, naming the first abort); masked-out
     paths are excluded from that quantity's mean (used for sign-
     conditioning by rejection).
     """
@@ -120,11 +119,22 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
         specs.append((values_fn, mask_fn, eps))
 
     slots = []  # per batch, one (sum, count, aborted) triple per quantity
+    # aborts so far per trajectory read (they only grow, so the budget can be
+    # checked batch by batch), and the (batch, step, component) of the first
+    aborted, first = dict.fromkeys((spec[2] for spec in specs), 0), None
     for b, size in enumerate(sizes):
         # with_xfull repeats what noise says: benchmark/tracer.py keys each
         # traced call's shape by that keyword (ROADMAP item 4(a) drops it)
         res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, noise=noise,
                              with_xfull=bool(noise))
+        if first is None and res.first_abort is not None:
+            first = (b, *res.first_abort)
+        for eps in aborted:
+            aborted[eps] += int(res.lost[eps].sum())
+            if aborted[eps] > MAX_ABORT_FRACTION * n_paths:
+                raise EstimationError(
+                    f"{aborted[eps]} of {n_paths} paths aborted by batch {b} of {len(sizes)}"
+                    f" (the first in batch {first[0]}, step {first[1]}, {first[2]})")
         out = []
         for values_fn, mask_fn, eps in specs:
             vals = np.asarray(values_fn(res), dtype=float)
@@ -134,7 +144,7 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
                 keep = keep & np.asarray(mask_fn(res), dtype=bool)
             out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), int(lost.sum())))
         slots.append(out)
-    return {name: _combine([s[idx] for s in slots], n_paths, name)
+    return {name: _combine([s[idx] for s in slots], name)
             for idx, name in enumerate(quantities)}
 
 
@@ -214,19 +224,6 @@ def strong_remainder_sq(cfg: SimConfig, step: int) -> dict:
     return {m: w_sq(m) for m in range(cfg.order + 1)}
 
 
-def estimate_a(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
-               n_paths: int, seed: int, n_batches: int = 40) -> McEstimate:
-    """MC estimate of the m-th weak expansion coefficient at grid time t.
-
-    Needs only the fluctuation chain, not the noisy trajectory.
-    """
-    if not 0 <= m <= cfg.order:
-        raise ValueError(f"m must be in [0, {cfg.order}]")
-    step = cfg.grid_index(t)
-    return mc_mean(lambda res: a_functional(m, F, res, step), cfg, law, n_paths, seed,
-                   [step], noise=(), n_batches=n_batches)
-
-
 def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
                             n_paths: int, seed: int, n_batches: int = 40) -> McEstimate:
     """MC estimate of the scaled weak remainder v_m^eps at grid time t."""
@@ -244,19 +241,6 @@ def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_pa
     step = cfg.grid_index(t)
     return list(mc_multi(strong_remainder_sq(cfg, step), cfg, law, n_paths, seed, [step],
                          noise=(cfg.eps,), n_batches=n_batches).values())
-
-
-def estimate_conditional_s(m: int, i: int, t: float, cfg: SimConfig, law: InitialLaw,
-                           n_paths: int, seed: int, sign: str = "+",
-                           n_batches: int = 40) -> McEstimate:
-    """E[S_{m,i}(t) | sign(xi_0)] by rejection on the sign of xi_0 (d = 1)."""
-    if cfg.dim != 1:
-        raise ValueError("conditional S estimation requires d = 1")
-    if not 1 <= i <= m <= cfg.order:
-        raise ValueError("need 1 <= i <= m <= order")
-    step = cfg.grid_index(t)
-    return mc_multi({"S": conditional_s(m, i, step, sign)}, cfg, law, n_paths, seed, [step],
-                    noise=(), n_batches=n_batches)["S"]
 
 
 def fit_power_law(xs, ys) -> RateFit:

@@ -10,7 +10,7 @@ same tensors are reapplied across large Monte Carlo batches.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -47,19 +47,6 @@ class Observable:
         self.dim = dim
         self.max_degree = max((sum(a) for a in self.terms), default=0)
         self._partials: Dict[MultiIndex, "Observable"] = {}
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def monomial(cls, alpha: Iterable[int], coeff: float = 1.0) -> "Observable":
-        alpha = tuple(alpha)
-        return cls({alpha: coeff}, dim=len(alpha))
-
-    @classmethod
-    def coordinate(cls, j: int, dim: int) -> "Observable":
-        """The projection x_j (1-based j)."""
-        alpha = tuple(1 if k == j - 1 else 0 for k in range(dim))
-        return cls({alpha: 1.0}, dim=dim)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -157,15 +144,6 @@ class Observable:
                 w = w * v[:, j]
             total += w
         return total
-
-    def scalar_derivative(self, order: int, x: float) -> float:
-        """F^{(i)}(x) for d = 1."""
-        if self.dim != 1:
-            raise ValueError("scalar_derivative requires dim = 1")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        dF = self.partial((0,) * order) if order else self
-        return dF.eval(np.array([float(x)]))
 
     def scalar_derivative_exact(self, order: int, x: int):
         """F^{(i)}(x) as an exact Fraction for integer x (d = 1)."""

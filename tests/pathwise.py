@@ -138,9 +138,9 @@ def mc_multi_slots(quantities, *args, **kwargs):
     slots = {}
     combine = estimators._combine
 
-    def spy(batch_slots, n_paths, name):
+    def spy(batch_slots, name):
         slots[name] = list(batch_slots)
-        return combine(batch_slots, n_paths, name)
+        return combine(batch_slots, name)
 
     estimators._combine = spy
     try:

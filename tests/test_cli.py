@@ -136,11 +136,18 @@ LATE_FAILURES = [
     (dict(STRONG, initial_law=dict(ANNULUS, higher_std=1.0)), "/initial_law/higher_std"),
     (dict(STRONG, initial_law=dict(ANNULUS, higher_std=[None])), "/initial_law/higher_std"),
     (dict(STRONG, initial_law=dict(ANNULUS, higher_std=None)), "/initial_law/higher_std"),
+    (dict(STRONG, experiment="weak_rates", observable="1"), "/observable"),
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
                     "recursion_tables": 0, "strong_rates": 1, "vector_divergence_d2": 1,
                     "vector_divergence_d3": 1, "weak_rates": 3}
+
+
+def test_no_config_writes_into_the_goldens():
+    # out/ holds the golden results that the acceptance tests compare against
+    for path in CONFIG_DIR.glob("*.json"):
+        assert Path(json.loads(path.read_text())["output_dir"]).parts[0] != "out", path.name
 
 
 class TestDryRun:
@@ -240,6 +247,30 @@ class TestRunExperiment:
         assert set(rows) == expected
         assert rows["S22_rate"]["estimate"] == "nan"
         assert rows["S22_rate"]["passed"] == "false"
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_weak_rates_below_order_2_reaches_a_verdict(self, order, tmp_path):
+        # the re-expansion check reads Xbar_2 whatever the configured order
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path, **dict(
+            STRONG, experiment="weak_rates", order=order, eps_grid=[0.4, 0.2, 0.1, 0.05],
+            observable="x1^2", output_dir=str(out))))
+        assert run_experiment(cfg) in (0, 2)
+        with open(out / "results.csv") as fh:
+            params = [r["params"] for r in csv.DictReader(fh)]
+        assert params == [f"v_{order}(eps={e:g},t=1)" for e in (0.4, 0.2, 0.1, 0.05)] + [
+            f"weak_order(m={order})", "v_0_consistency(eps=0.05,t=1)"]
+
+    def test_residuals_at_the_quadrature_floor_are_a_failed_row(self, tmp_path):
+        # every B_k(x1) and E[x1] vanish: the residuals sit at rounding level
+        out = tmp_path / "out"
+        cfg = parse_config(write_config(tmp_path, **dict(
+            EQUILIBRIUM, observable="x1", output_dir=str(out))))
+        assert run_experiment(cfg) == 2
+        with open(out / "results.csv") as fh:
+            rows = {r["params"]: r for r in csv.DictReader(fh)}
+        assert rows["residual_order"]["estimate"] == "nan"
+        assert rows["residual_order"]["passed"] == "false"
 
     def test_manifest_times_each_request(self, tmp_path):
         out = tmp_path / "out"

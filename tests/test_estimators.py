@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fluctx import estimators
 from fluctx.estimators import (
     EstimationError,
     McEstimate,
     a_functional,
     batch_layout,
-    estimate_a,
-    estimate_conditional_s,
+    conditional_s,
     estimate_strong_remainder_sq,
     estimate_weak_remainder,
     fit_exponential_rate,
     fit_power_law,
+    mc_mean,
     mc_multi,
     strong_remainder_sq,
 )
@@ -58,7 +59,8 @@ class TestEstimateA:
         # with zero variance
         cfg = _cfg(order=0, t_final=0.5)
         law = InitialLaw(kind="deterministic_point", point=(1.0,))
-        est = estimate_a(0, 0.5, X2, cfg, law, 2000, seed=1)
+        est = mc_mean(lambda res: a_functional(0, X2, res, 250), cfg, law, 2000, 1, [250],
+                      noise=())
         assert est.value == 1.0
         assert est.stderr == 0.0
 
@@ -66,14 +68,16 @@ class TestEstimateA:
         # a_0(t, x^2) for the annulus law is the radial average of the
         # squared exact flow
         cfg = _cfg(order=0, dt=1e-2, t_final=1.0)
-        est = estimate_a(0, 1.0, X2, cfg, ANNULUS, 40000, seed=2)
+        est = mc_mean(lambda res: a_functional(0, X2, res, 100), cfg, ANNULUS, 40000, 2, [100],
+                      noise=())
         target, _ = quad(lambda r: float(flow_exact(np.array([r]), 1.0)[0]) ** 2,
                          0.5, 1.5)
         assert est.agrees_with(target)
 
     def test_odd_coefficient_vanishes(self):
         cfg = _cfg(order=1, dt=2e-3, t_final=1.0)
-        est = estimate_a(1, 1.0, X2, cfg, POINT_LAW, 20000, seed=3)
+        est = mc_mean(lambda res: a_functional(1, X2, res, 500), cfg, POINT_LAW, 20000, 3, [500],
+                      noise=())
         assert est.agrees_with(0.0)
 
     def test_batch_independence(self):
@@ -85,7 +89,7 @@ class TestEstimateA:
                       "w1": strong_remainder_sq(cfg, step)[1]}
         est, slots = mc_multi_slots(quantities, cfg, ANNULUS, 4000, 4, [step],
                                     noise=(cfg.eps,))
-        assert est["a2"] == estimate_a(2, 1.0, X2, cfg, ANNULUS, 4000, seed=4)
+        assert est["a2"] == mc_mean(quantities["a2"], cfg, ANNULUS, 4000, 4, [step], noise=())
         sizes = batch_layout(4000, 40)
         for name, fn in quantities.items():
             assert len(slots[name]) == 40
@@ -94,18 +98,18 @@ class TestEstimateA:
                                   (cfg.eps,)) == slots[name][b]
 
     def test_grid_refinement_stability(self):
-        coarse = estimate_a(2, 1.0, X2, _cfg(order=2, dt=4e-3, t_final=1.0),
-                            POINT_LAW, 20000, seed=5)
-        fine = estimate_a(2, 1.0, X2, _cfg(order=2, dt=2e-3, t_final=1.0),
-                          POINT_LAW, 20000, seed=5)
+        coarse = mc_mean(lambda res: a_functional(2, X2, res, 250),
+                         _cfg(order=2, dt=4e-3, t_final=1.0), POINT_LAW, 20000, 5, [250],
+                         noise=())
+        fine = mc_mean(lambda res: a_functional(2, X2, res, 500),
+                       _cfg(order=2, dt=2e-3, t_final=1.0), POINT_LAW, 20000, 5, [500],
+                       noise=())
         assert abs(coarse.value - fine.value) < 3 * (coarse.stderr + fine.stderr)
 
     def test_validation(self):
-        cfg = _cfg(order=1)
+        # a time off the dt grid has no grid step to read the coefficient at
         with pytest.raises(ValueError):
-            estimate_a(2, 1.0, X2, cfg, POINT_LAW, 2000, seed=6)
-        with pytest.raises(ValueError):
-            estimate_a(1, 0.3337, X2, cfg, POINT_LAW, 2000, seed=6)
+            _cfg(order=1).grid_index(0.3337)
 
 
 class TestStderrCalibration:
@@ -116,8 +120,8 @@ class TestStderrCalibration:
         target, _ = quad(lambda r: float(flow_exact(np.array([r]), 0.5)[0]) ** 2,
                          0.5, 1.5)
         hits = sum(
-            estimate_a(0, 0.5, X2, cfg, ANNULUS, 2000, seed=1000 + trial,
-                       n_batches=20).agrees_with(target)
+            mc_mean(lambda res: a_functional(0, X2, res, 50), cfg, ANNULUS, 2000, 1000 + trial,
+                    [50], noise=(), n_batches=20).agrees_with(target)
             for trial in range(60)
         )
         assert hits >= 57
@@ -131,7 +135,8 @@ class TestWeakRemainder:
         kw = dict(n_paths=4000, seed=7)
         v0 = estimate_weak_remainder(0, 1.0, X2, cfg, POINT_LAW, **kw)
         v1 = estimate_weak_remainder(1, 1.0, X2, cfg, POINT_LAW, **kw)
-        a1 = estimate_a(1, 1.0, X2, cfg, POINT_LAW, **kw)
+        a1 = mc_mean(lambda res: a_functional(1, X2, res, 200), cfg, POINT_LAW, 4000, 7, [200],
+                     noise=())
         assert v1.value == pytest.approx(v0.value / np.sqrt(cfg.eps) - a1.value,
                                          rel=1e-10, abs=1e-12)
 
@@ -178,42 +183,36 @@ class TestConditionalS:
 
     def test_first_order_centered(self):
         cfg = _cfg(order=1, dt=2e-3, t_final=1.0)
-        est = estimate_conditional_s(1, 1, 1.0, cfg, POINT_LAW, 20000, seed=12)
+        est = mc_multi({"S": conditional_s(1, 1, 500)}, cfg, POINT_LAW, 20000, 12, [500],
+                       noise=())["S"]
         assert est.agrees_with(0.0)
 
     def test_s22_closed_form(self):
         cfg = _cfg(order=2, dt=2e-3, t_final=1.0)
-        est = estimate_conditional_s(2, 2, 1.0, cfg, POINT_LAW, 40000, seed=13)
+        est = mc_multi({"S": conditional_s(2, 2, 500)}, cfg, POINT_LAW, 40000, 13, [500],
+                       noise=())["S"]
         target = 0.5 + 0.5 * np.exp(-4.0)
         assert abs(est.value - target) < 3 * est.stderr + cfg.dt
 
     def test_s21_sign_conditioning(self):
         cfg = _cfg(order=2, dt=2e-3, t_final=2.0)
         target = -0.75 * (1.0 - np.exp(-8.0))
-        plus = estimate_conditional_s(2, 1, 2.0, cfg, POINT_LAW, 40000, seed=14,
-                                      sign="+")
-        minus = estimate_conditional_s(2, 1, 2.0, cfg, POINT_LAW, 40000, seed=14,
-                                       sign="-")
+        out = mc_multi({sign: conditional_s(2, 1, 1000, sign) for sign in "+-"}, cfg,
+                       POINT_LAW, 40000, 14, [1000], noise=())
+        plus, minus = out["+"], out["-"]
         assert abs(plus.value - target) < 3 * plus.stderr + 2 * cfg.dt
         assert abs(minus.value + target) < 3 * minus.stderr + 2 * cfg.dt
         assert plus.n_paths + minus.n_paths == 40000
 
     def test_limit_reached_by_t4(self):
         cfg = _cfg(order=2, dt=2e-3, t_final=4.0)
-        est = estimate_conditional_s(2, 2, 4.0, cfg, POINT_LAW, 40000, seed=15)
+        est = mc_multi({"S": conditional_s(2, 2, 2000)}, cfg, POINT_LAW, 40000, 15, [2000],
+                       noise=())["S"]
         assert abs(est.value - 0.5) < 3 * est.stderr + cfg.dt
 
     def test_validation(self):
-        cfg = _cfg(order=2)
         with pytest.raises(ValueError):
-            estimate_conditional_s(3, 1, 1.0, cfg, POINT_LAW, 2000, seed=16)
-        with pytest.raises(ValueError):
-            estimate_conditional_s(2, 2, 1.0, cfg, POINT_LAW, 2000, seed=16,
-                                   sign="0")
-        cfg2 = _cfg(order=2, dim=2)
-        law2 = InitialLaw(kind="deterministic_point", point=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            estimate_conditional_s(2, 2, 1.0, cfg2, law2, 2000, seed=16)
+            conditional_s(2, 2, 500, sign="0")
 
 
 class TestAbortPolicy:
@@ -222,6 +221,23 @@ class TestAbortPolicy:
         law = InitialLaw(kind="deterministic_point", point=(30.0,))
         with pytest.raises(EstimationError):
             estimate_strong_remainder_sq(1.0, cfg, law, 2000, seed=17)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_budget_stops_at_the_first_batch_over_it(self, monkeypatch):
+        # one chain abort per batch of 500: the budget of 20 paths is
+        # exceeded at batch 20, and batches 21..39 never run
+        calls = []
+        simulate = estimators.simulate_batch
+        monkeypatch.setattr(estimators, "simulate_batch",
+                            lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
+        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
+        law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        with pytest.raises(EstimationError) as err:
+            mc_mean(lambda res: res.x0[50][:, 0], cfg, law, 20000, 5, [50], noise=())
+        assert len(calls) == 21
+        assert str(err.value).startswith("21 of 20000 paths aborted by batch 20 of 40 "
+                                         "(the first in batch 0, step ")
+        assert str(err.value).endswith(", xbar1)")
 
 
 class TestMcMulti:

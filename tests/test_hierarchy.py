@@ -17,7 +17,7 @@ from fluctx.hierarchy import (
     path_rng,
     simulate_batch,
 )
-from fluctx.model import flow_exact_batch
+from fluctx.model import flow_exact
 
 import reference_kernel
 from pathwise import (
@@ -121,7 +121,7 @@ class TestDeterministicDynamics:
         cfg = SimConfig(dim=2, order=0, eps=0.1, dt=1e-2, t_final=2.0)
         law = InitialLaw(kind="deterministic_point", point=(0.3, 0.4))
         path = simulate_path(cfg, law, _rng(6), zero_noise=True)
-        exact = np.stack([flow_exact_batch(path.xi0[None, :], t)[0] for t in cfg.times])
+        exact = np.stack([flow_exact(path.xi0, t) for t in cfg.times])
         assert np.max(np.abs(path.xbar[0] - exact)) < 1e-12
 
 

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from fluctx.model import (
-    DomainError,
-    drift,
-    flow_exact,
-    flow_exact_batch,
-    integrating_factor,
-    linearized_drift,
-    potential_value,
-)
+from fluctx.model import DomainError, drift, flow_exact, potential_value
 
 
 def e1(d):
@@ -61,35 +52,6 @@ class TestDrift:
             np.testing.assert_allclose(drift(x), -g, atol=1e-6)
 
 
-class TestLinearizedDrift:
-    def test_at_origin(self):
-        np.testing.assert_array_equal(linearized_drift(np.zeros(3)), np.eye(3))
-
-    def test_at_well_d2(self):
-        np.testing.assert_allclose(linearized_drift(e1(2)), np.diag([-2.0, 0.0]), atol=1e-15)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            x = rng.standard_normal(3)
-            J = linearized_drift(x)
-            np.testing.assert_array_equal(J, J.T)
-
-    def test_jacobian_of_drift(self):
-        rng = np.random.default_rng(13)
-        h = 1e-5
-        for _ in range(10):
-            d = rng.integers(1, 4)
-            x = rng.uniform(-1.2, 1.2, size=d)
-            J = np.empty((d, d))
-            for j in range(d):
-                xp, xm = x.copy(), x.copy()
-                xp[j] += h
-                xm[j] -= h
-                J[:, j] = (drift(xp) - drift(xm)) / (2 * h)
-            np.testing.assert_allclose(linearized_drift(x), J, atol=1e-8)
-
-
 class TestFlowExact:
     def test_initial_condition(self):
         xi0 = np.array([0.3, -0.8])
@@ -124,42 +86,12 @@ class TestFlowExact:
         with pytest.raises(DomainError):
             flow_exact(e1(2), -0.1)
         with pytest.raises(DomainError):
-            flow_exact_batch(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
+            flow_exact(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         xi0 = rng.uniform(-1.4, 1.4, size=(20, 3))
         xi0[np.all(xi0 == 0, axis=1)] = 0.5
-        out = flow_exact_batch(xi0, 1.7)
+        out = flow_exact(xi0, 1.7)
         for i in range(20):
             np.testing.assert_allclose(out[i], flow_exact(xi0[i], 1.7), rtol=1e-14)
-
-
-class TestIntegratingFactor:
-    def test_at_zero_time(self):
-        assert integrating_factor(0.7, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_on_the_sphere(self):
-        for t in (0.0, 1.0, 3.0):
-            assert integrating_factor(1.0, t) == pytest.approx(np.exp(2 * t), rel=1e-14)
-            assert integrating_factor(-1.0, t) == pytest.approx(np.exp(2 * t), rel=1e-14)
-
-    def test_long_time_moment_limits(self):
-        # Lambda(t)^{-k} int_0^t Lambda^k -> 1/(2k)
-        xi0, t = 0.7, 10.0
-        for k in (1, 2, 3):
-            integral = quad(lambda s: integrating_factor(xi0, s) ** k, 0.0, t, limit=400)[0]
-            val = integral / integrating_factor(xi0, t) ** k
-            assert val == pytest.approx(1.0 / (2 * k), abs=1e-3)
-
-    def test_vectorized_over_time(self):
-        ts = np.linspace(0, 2, 9)
-        out = integrating_factor(0.9, ts)
-        assert out.shape == ts.shape
-        np.testing.assert_allclose(out[0], 1.0, atol=1e-15)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            integrating_factor(0.0, 1.0)
-        with pytest.raises(DomainError):
-            integrating_factor(0.5, -1.0)
