@@ -19,7 +19,8 @@ from fluctx.recursions import MAX_ORDER, big_b_coeff, d_table
 
 def run():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-order", type=int, default=MAX_ORDER)
+    ap.add_argument("--max-order", type=int, default=MAX_ORDER, choices=range(MAX_ORDER + 1),
+                    metavar=f"{{0..{MAX_ORDER}}}")
     args = ap.parse_args()
 
     F = parse_polynomial("x1^2", 1)

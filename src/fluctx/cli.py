@@ -3,14 +3,15 @@
 Each subcommand names an experiment suite; a checked-in config under
 configs/ reproduces the corresponding desk-scale check.  An experiment is
 a function cfg -> (requests, checks): each request holds the arguments of
-one `mc_multi` call, and `checks` turns the estimates into result rows.
-Building the plan reads the whole config, so `--dry-run` rejects a bad
-config before any Monte Carlo; `run_experiment` runs and times each
-request.  Outputs are results.csv (one row per estimate or check),
-tables.csv (exact rational tables, when the experiment produces them) and
-manifest.json (config echo, versions, seed, wall time, seconds per request
-and for the checks).  Exit code 0 iff every pass flag is true, 2 if any
-check fails, 1 on runtime/config errors.
+one `mc_multi` call (`noise_levels` reads its noise levels off its
+quantities, for the run and the `--dry-run` line), and `checks` turns the
+estimates into result rows.  Building the plan reads the whole config, so
+`--dry-run` rejects a bad config before any Monte Carlo; `run_experiment`
+runs and times each request.  Outputs are results.csv (one row per
+estimate or check), tables.csv (exact rational tables, when the
+experiment produces them) and manifest.json (config echo, versions, seed,
+wall time, seconds per request and for the checks).  Exit code 0 iff
+every pass flag is true, 2 if any check fails, 1 on runtime/config errors.
 
 results.csv is byte-identical across reruns of the same config; volatile
 quantities (wall times) go to manifest.json only.
@@ -24,7 +25,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import List, Optional
 
@@ -44,6 +45,7 @@ from .estimators import (
     fit_exponential_rate,
     fit_power_law,
     mc_multi,
+    noise_levels,
     strong_remainder_sq,
     weak_remainder,
 )
@@ -266,13 +268,12 @@ class Request:
     n_paths: int
     seed: int
     slice_steps: list
-    noise: tuple  # the noise levels eps whose noisy trajectories ride on the chain
     quantities: dict  # name -> values_fn(batch) or (values_fn, mask_fn)
 
     def __str__(self):
         return (f"{self.label}: {self.sim}, {self.law.kind} law, {self.n_paths} paths, "
-                f"seed {self.seed}, slice steps {self.slice_steps}, noise {self.noise}, "
-                f"{len(self.quantities)} quantities")
+                f"seed {self.seed}, slice steps {self.slice_steps}, "
+                f"noise {noise_levels(self.quantities)}, {len(self.quantities)} quantities")
 
 
 def _law(cfg: ExperimentConfig) -> InitialLaw:
@@ -304,11 +305,6 @@ def _fit_eps(cfg: ExperimentConfig) -> list:
         raise ConfigError(f"{cfg.experiment} fits a power law over at least 4 eps values",
                           "/eps_grid")
     return sorted(cfg.eps_grid, reverse=True)
-
-
-def _levels(eps_list) -> tuple:
-    """The distinct noise levels of an eps list, in order."""
-    return tuple(dict.fromkeys(eps_list))
 
 
 def _recursion_tables(cfg):
@@ -369,9 +365,9 @@ def _equilibrium_check(cfg):
                                      False)], []
         for e, r in zip(eps, residuals):
             rows.append(ResultRow(f"residual(eps={e:g})", r, None, None, "none", True))
-        fit = expansion_residual_order(eps, residuals)
-        rows.append(ResultRow("residual_order", fit.exponent, None,
-                              1.8, "paper", fit.exponent >= 1.8))
+        order = expansion_residual_order(eps, residuals)
+        rows.append(ResultRow("residual_order", order, None,
+                              1.8, "paper", order >= 1.8))
         coeffs = residual_coefficient_fit(eps, residuals, cfg.order, degree=3)
         lead = float(big_b_coeff(cfg.order + 2, F, table))
         rows.append(ResultRow(f"leading_coefficient(eps^{(cfg.order + 2) // 2})",
@@ -388,9 +384,9 @@ def _strong_rates(cfg):
     sim, steps = _simulation(cfg, cfg.order)
     qs = {}
     for eps in eps_list:
-        for m, q in strong_remainder_sq(replace(sim, eps=eps), steps[t]).items():
+        for m, q in strong_remainder_sq(eps, cfg.order, steps[t]).items():
             qs[eps, m] = q
-    w = Request("w", sim, law, cfg.n_paths, cfg.seed, [steps[t]], _levels(eps_list), qs)
+    w = Request("w", sim, law, cfg.n_paths, cfg.seed, [steps[t]], qs)
 
     def checks(est):
         rows, per_m = [], [[] for _ in range(cfg.order + 1)]
@@ -401,9 +397,9 @@ def _strong_rates(cfg):
                 rows.append(ResultRow(f"E|w_{m}|^2(eps={eps:g},t={t:g})",
                                       e.value, e.stderr, None, "none", True))
         for m, values in enumerate(per_m):
-            fit = fit_power_law(eps_list, values)
-            rows.append(ResultRow(f"strong_order(m={m})", fit.exponent,
-                                  None, 0.9, "paper", fit.exponent >= 0.9))
+            order = fit_power_law(eps_list, values)
+            rows.append(ResultRow(f"strong_order(m={m})", order,
+                                  None, 0.9, "paper", order >= 0.9))
         return rows, []
 
     return [w], checks
@@ -417,8 +413,8 @@ def _weak_rates(cfg):
     t, m = max(cfg.time_grid), cfg.order
     sim, steps = _simulation(cfg, m)
     step = steps[t]
-    vm = Request(f"v_{m}", sim, law, cfg.n_paths, cfg.seed, [step], _levels(eps_list),
-                 {eps: weak_remainder(m, F, replace(sim, eps=eps), step) for eps in eps_list})
+    vm = Request(f"v_{m}", sim, law, cfg.n_paths, cfg.seed, [step],
+                 {eps: weak_remainder(m, F, eps, step) for eps in eps_list})
 
     # re-expansion consistency: v_0 against sqrt(eps) a_1 + eps a_2, at the
     # last eps listed in the grid.  The discrepancy is a deterministic
@@ -427,10 +423,10 @@ def _weak_rates(cfg):
     eps_c = cfg.eps_grid[-1]
     n_small = max(cfg.n_paths // 5, 1000)
     v0 = Request(f"v_0(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 1, [step],
-                 (eps_c,), {"v": weak_remainder(0, F, replace(sim, eps=eps_c), step)})
+                 {"v": weak_remainder(0, F, eps_c, step)})
     # a_2 reads Xbar_2, so the chain goes up to order 2 whatever `order` is
     coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion", _simulation(cfg, max(m, 2))[0],
-                     law, n_small, cfg.seed + 2, [step], (),
+                     law, n_small, cfg.seed + 2, [step],
                      {"a1": lambda res: a_functional(1, F, res, step),
                       "a2": lambda res: a_functional(2, F, res, step)})
 
@@ -441,9 +437,9 @@ def _weak_rates(cfg):
             vals.append(abs(e.value))
             rows.append(ResultRow(f"v_{m}(eps={eps:g},t={t:g})",
                                   e.value, e.stderr, None, "none", True))
-        fit = fit_power_law(eps_list, vals)
-        rows.append(ResultRow(f"weak_order(m={m})", fit.exponent,
-                              None, 0.4, "paper", fit.exponent >= 0.4))
+        order = fit_power_law(eps_list, vals)
+        rows.append(ResultRow(f"weak_order(m={m})", order,
+                              None, 0.4, "paper", order >= 0.4))
         v, a1, a2 = est[v0.label]["v"], est[coeffs.label]["a1"], est[coeffs.label]["a2"]
         pred = np.sqrt(eps_c) * a1.value + eps_c * a2.value
         combined = float(np.sqrt(v.stderr ** 2 + eps_c * a1.stderr ** 2
@@ -472,12 +468,12 @@ def _longtime_scalar(cfg):
                           "/time_grid")
     # phase 1: conditional composition sum S_22 along the time grid
     sim, steps = _simulation(cfg, 2)
-    s22 = Request("S22", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times], (),
+    s22 = Request("S22", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times],
                   {f"s22_{t:g}": conditional_s(2, 2, steps[t]) for t in times})
     # phase 2: weak coefficients a_1..a_3 on an independent, smaller run
     sim3, steps3 = _simulation(cfg, max(cfg.order, 3))
     coeffs = Request("a_1..a_3", sim3, law, max(cfg.n_paths // 4, 1000), cfg.seed + 1,
-                     [steps3[t] for t in times], (),
+                     [steps3[t] for t in times],
                      {f"a{m}_{t:g}": (lambda res, m=m, s=steps3[t]: a_functional(m, F, res, s))
                       for m in (1, 2, 3) for t in times})
     # P(xi_0 > 0): the symmetric kinds put half their mass on each sign
@@ -496,7 +492,7 @@ def _longtime_scalar(cfg):
         rows.append(ResultRow(f"S22_limit(t={window[-1]:g})", final.value,
                               final.stderr, 0.5, "paper", final.agrees_with(0.5)))
         try:
-            rate = fit_exponential_rate(window, gaps, ses).exponent
+            rate = fit_exponential_rate(window, gaps, ses)
         except ValueError:  # too few window points clear the Monte Carlo noise floor
             rate = float("nan")
         rows.append(ResultRow("S22_rate", rate, None, 0.8, "paper", rate >= 0.8))
@@ -517,6 +513,15 @@ def _vector_divergence(cfg):
     if d < 2:
         raise ConfigError("vector_divergence requires dim >= 2", "/dim")
     law, F = _law(cfg), cfg.parsed_observable()
+    # the references below are closed forms for xi_0 = e_1, xi_1 = 0 and F = x1
+    e1 = (1,) + (0,) * (d - 1)
+    for wrong, pointer in ((law.kind != "deterministic_point", "/initial_law/kind"),
+                           (law.point != e1, "/initial_law/point"),
+                           (law.std_for(1) != 0.0, "/initial_law/higher_std"),
+                           (F.terms != {e1: 1.0}, "/observable")):
+        if wrong:
+            raise ConfigError("vector_divergence's references hold only for a deterministic_point"
+                              f" law at {list(e1)} with xi_1 = 0 and the observable x1", pointer)
     times = sorted(cfg.time_grid)
     fit_ts = [t for t in times if t >= 2.0]
     if len(fit_ts) < 2:
@@ -528,8 +533,7 @@ def _vector_divergence(cfg):
         qs[f"a2_{t:g}"] = (lambda res, s=s: a_functional(2, F, res, s))
         qs[f"r1sq_{t:g}"] = (lambda res, s=s: res.xbar_at(s, 1)[:, 0] ** 2)
         qs[f"v1sq_{t:g}"] = (lambda res, s=s: np.sum(res.xbar_at(s, 1)[:, 1:] ** 2, axis=1))
-    chain = Request("chain", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times],
-                    (), qs)
+    chain = Request("chain", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times], qs)
 
     def closed_a2(t):
         e2, e4 = np.exp(-2 * t), np.exp(-4 * t)
@@ -585,7 +589,7 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False, stream=None) ->
     for req in requests:
         t1 = time.perf_counter()
         estimates[req.label] = mc_multi(req.quantities, req.sim, req.law, req.n_paths, req.seed,
-                                        req.slice_steps, noise=req.noise)
+                                        req.slice_steps)
         runtimes[req.label] = time.perf_counter() - t1
     t1 = time.perf_counter()
     rows, tables = checks(estimates)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import RateFit, fit_power_law
+from .estimators import fit_power_law
 from .model import potential_value
 from .observables import Observable
 from .recursions import RationalTable, big_b_coeff
@@ -154,7 +154,7 @@ def expansion_residuals(
     return np.asarray(eps_list, dtype=float), np.asarray(residuals, dtype=float)
 
 
-def expansion_residual_order(eps: Sequence[float], residuals: Sequence[float]) -> RateFit:
+def expansion_residual_order(eps: Sequence[float], residuals: Sequence[float]) -> float:
     """Power-law order of the expansion residuals: fits |r| ~ C eps^b."""
     return fit_power_law(np.asarray(eps), np.abs(residuals))
 

@@ -1,20 +1,21 @@
 """Monte Carlo estimators for the expansion coefficients and rate fitting.
 
 `mc_multi` is the one engine: every estimator is a set of named per-path
-quantities over a single simulation.  Paths are partitioned into a fixed
-number of batches, run one after another on the calling thread; batch b
+quantities over a single simulation.  Paths are partitioned into
+N_BATCHES batches, run one after another on the calling thread; batch b
 draws from a counter-based substream keyed by (seed, b), so each batch is
 reproducible on its own, and the reduction runs over batches in index
-order.  Standard errors come from batch means (>= 20 batches).  One
-simulation steps the chain once and may carry several noise levels; a
-quantity that reads a noisy trajectory names its level (`reads_noise`),
-and only that trajectory's aborts, besides the chain's, leave its mean.
+order.  Standard errors come from batch means over that fixed batch count
+(Flegal & Jones, Ann. Statist. 2010).  One simulation steps the chain
+once, plus one noisy trajectory per noise level its quantities read: a
+quantity names the level it reads (`reads_noise`), and only that
+trajectory's aborts, besides the chain's, leave its mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .combinatorics import s_value, taylor_weights
 from .hierarchy import InitialLaw, SimConfig, path_rng, simulate_batch
 from .observables import Observable
 
-MIN_BATCHES = 20
+N_BATCHES = 40
 MAX_ABORT_FRACTION = 1e-3
 RATE_FIT_DROP_FACTOR = 5.0
 
@@ -43,23 +44,13 @@ class McEstimate:
         return abs(self.value - reference) <= k_sigma * self.stderr
 
 
-@dataclass(frozen=True)
-class RateFit:
-    exponent: float
-    intercept: float
-    r_squared: float
-    n_points: int = 0
-
-
-def batch_layout(n_paths: int, n_batches: int) -> List[int]:
-    """Deterministic batch sizes summing to n_paths."""
-    if n_batches < MIN_BATCHES:
-        raise ValueError(f"need at least {MIN_BATCHES} batches")
-    if n_paths < n_batches:
+def batch_layout(n_paths: int) -> List[int]:
+    """Deterministic sizes of the N_BATCHES batches, summing to n_paths."""
+    if n_paths < N_BATCHES:
         raise ValueError("fewer paths than batches")
-    base = n_paths // n_batches
-    rem = n_paths % n_batches
-    return [base + (1 if b < rem else 0) for b in range(n_batches)]
+    base = n_paths // N_BATCHES
+    rem = n_paths % N_BATCHES
+    return [base + (1 if b < rem else 0) for b in range(N_BATCHES)]
 
 
 def _combine(slots, name) -> McEstimate:
@@ -93,30 +84,33 @@ def reads_noise(eps: float, values_fn):
     return values_fn
 
 
+def _specs(quantities) -> list:
+    """(values_fn, mask_fn, noise level read or None) of each quantity, in order."""
+    pairs = [q if isinstance(q, tuple) else (q, None) for q in quantities.values()]
+    return [(values_fn, mask_fn, getattr(values_fn, "eps", None)) for values_fn, mask_fn in pairs]
+
+
+def noise_levels(quantities) -> tuple:
+    """The noise levels the quantities read (`reads_noise`), in the order first read."""
+    return tuple(dict.fromkeys(eps for _, _, eps in _specs(quantities) if eps is not None))
+
+
 def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-             slice_steps: Sequence[int], *, noise: Sequence[float], n_batches: int = 40) -> dict:
+             slice_steps: Sequence[int]) -> dict:
     """Batched MC means of several per-path functionals from one simulation.
 
     `quantities` maps name -> values_fn(batch_result) or
     (values_fn, mask_fn).  The simulation steps the chain once, plus one
-    noisy trajectory per level in `noise`; a values_fn marked by
-    `reads_noise(eps, ...)` reads the eps trajectory, which `noise` must
-    list.  Paths aborted in the chain, or in the trajectory a quantity
-    reads, are excluded from that quantity's mean and counted against it
-    (the run errors out at the first batch where more than 0.1% of its
-    paths have aborted, naming the first abort); masked-out
-    paths are excluded from that quantity's mean (used for sign-
-    conditioning by rejection).
+    noisy trajectory per level in `noise_levels(quantities)`: a values_fn
+    marked by `reads_noise(eps, ...)` reads the eps trajectory.  Paths
+    aborted in the chain, or in the trajectory a quantity reads, are
+    excluded from that quantity's mean and counted against it (the run
+    errors out at the first batch where more than 0.1% of its paths have
+    aborted, naming the first abort); masked-out paths are excluded from
+    that quantity's mean (used for sign-conditioning by rejection).
     """
-    sizes = batch_layout(n_paths, n_batches)
-    noise = tuple(noise)
-    specs = []
-    for name, q in quantities.items():
-        values_fn, mask_fn = q if isinstance(q, tuple) else (q, None)
-        eps = getattr(values_fn, "eps", None)
-        if eps is not None and eps not in noise:
-            raise ValueError(f"quantity {name!r} reads noise level {eps}, which is not simulated")
-        specs.append((values_fn, mask_fn, eps))
+    sizes = batch_layout(n_paths)
+    specs, noise = _specs(quantities), noise_levels(quantities)
 
     slots = []  # per batch, one (sum, count, aborted) triple per quantity
     # aborts so far per trajectory read (they only grow, so the budget can be
@@ -149,11 +143,9 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
 
 
 def mc_mean(values_fn, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-            slice_steps: Sequence[int], *, noise: Sequence[float],
-            n_batches: int = 40) -> McEstimate:
+            slice_steps: Sequence[int]) -> McEstimate:
     """Batched MC mean of one per-path functional `values_fn(batch_result)`."""
-    return mc_multi({"mean": values_fn}, cfg, law, n_paths, seed, slice_steps,
-                    noise=noise, n_batches=n_batches)["mean"]
+    return mc_multi({"mean": values_fn}, cfg, law, n_paths, seed, slice_steps)["mean"]
 
 
 def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
@@ -186,64 +178,63 @@ def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
     return values, wanted
 
 
-def weak_remainder(m: int, F: Observable, cfg: SimConfig, step: int):
-    """Per-path scaled weak remainder v_m^eps at a grid step (reads X_eps at cfg.eps).
+def weak_remainder(m: int, F: Observable, eps: float, step: int):
+    """Per-path scaled weak remainder v_m^eps at a grid step (reads X_eps at eps).
 
     v_m = (E F(X_eps) - sum_{k<=m} eps^{k/2} a_k) / eps^{m/2}, estimated
     pathwise on coupled noise: the same increments drive X_eps and every
     a_k integrand, which keeps the variance of the difference small.
     """
-    if not 0 <= m <= cfg.order:
-        raise ValueError(f"m must be in [0, {cfg.order}]")
-    scale = cfg.eps ** (m / 2.0)
+    scale = eps ** (m / 2.0)
 
     def values(res):
-        out = F.eval_batch(res.xfull[cfg.eps][step])
+        out = F.eval_batch(res.xfull[eps][step])
         for k in range(m + 1):
-            out = out - cfg.eps ** (k / 2.0) * a_functional(k, F, res, step)
+            out = out - eps ** (k / 2.0) * a_functional(k, F, res, step)
         return out / scale
 
-    return reads_noise(cfg.eps, values)
+    return reads_noise(eps, values)
 
 
-def strong_remainder_sq(cfg: SimConfig, step: int) -> dict:
-    """Per-path |w_{eps,m}|^2 at a grid step for m = 0..cfg.order, keyed by m.
+def strong_remainder_sq(eps: float, order: int, step: int) -> dict:
+    """Per-path |w_{eps,m}|^2 at a grid step for m = 0..order, keyed by m.
 
-    Each reads the noisy trajectory at cfg.eps.
+    Each reads the noisy trajectory at eps.
     """
 
     def w_sq(m):
         def values(res):
-            acc = res.xfull[cfg.eps][step].copy()
+            acc = res.xfull[eps][step].copy()
             for k in range(m + 1):
-                acc -= cfg.eps ** (k / 2.0) * res.xbar_at(step, k)
-            acc /= cfg.eps ** (m / 2.0)
+                acc -= eps ** (k / 2.0) * res.xbar_at(step, k)
+            acc /= eps ** (m / 2.0)
             return np.sum(acc * acc, axis=1)
-        return reads_noise(cfg.eps, values)
+        return reads_noise(eps, values)
 
-    return {m: w_sq(m) for m in range(cfg.order + 1)}
+    return {m: w_sq(m) for m in range(order + 1)}
 
 
 def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
-                            n_paths: int, seed: int, n_batches: int = 40) -> McEstimate:
-    """MC estimate of the scaled weak remainder v_m^eps at grid time t."""
+                            n_paths: int, seed: int) -> McEstimate:
+    """MC estimate of the scaled weak remainder v_m^eps at grid time t and eps = cfg.eps."""
+    if not 0 <= m <= cfg.order:
+        raise ValueError(f"m must be in [0, {cfg.order}]")
     step = cfg.grid_index(t)
-    return mc_mean(weak_remainder(m, F, cfg, step), cfg, law, n_paths, seed, [step],
-                   noise=(cfg.eps,), n_batches=n_batches)
+    return mc_mean(weak_remainder(m, F, cfg.eps, step), cfg, law, n_paths, seed, [step])
 
 
 def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_paths: int,
-                                 seed: int, n_batches: int = 40) -> List[McEstimate]:
-    """MC estimates of E |w_{eps,m}(t)|^2 at grid time t for m = 0..cfg.order.
+                                 seed: int) -> List[McEstimate]:
+    """MC estimates of E |w_{eps,m}(t)|^2 at grid time t and eps = cfg.eps, m = 0..cfg.order.
 
     Every order is read off the same simulated paths.
     """
     step = cfg.grid_index(t)
-    return list(mc_multi(strong_remainder_sq(cfg, step), cfg, law, n_paths, seed, [step],
-                         noise=(cfg.eps,), n_batches=n_batches).values())
+    return list(mc_multi(strong_remainder_sq(cfg.eps, cfg.order, step), cfg, law, n_paths, seed,
+                         [step]).values())
 
 
-def fit_power_law(xs, ys) -> RateFit:
+def fit_power_law(xs, ys) -> float:
     """Least-squares slope of log y against log x."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -251,37 +242,20 @@ def fit_power_law(xs, ys) -> RateFit:
         raise ValueError("need at least 4 points")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("power-law fit requires positive data")
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(exponent=float(slope), intercept=float(intercept), r_squared=r2,
-                   n_points=len(xs))
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def fit_exponential_rate(ts, gaps, stderrs: Optional[Sequence[float]] = None) -> RateFit:
+def fit_exponential_rate(ts, gaps, stderrs: Sequence[float]) -> float:
     """Decay rate of gaps ~ C e^{-rate t}; returns the positive rate.
 
-    Points within RATE_FIT_DROP_FACTOR standard errors of zero are dropped
-    first: below that, the Monte Carlo noise floor flattens the fit.
+    Points that do not clear RATE_FIT_DROP_FACTOR standard errors (each >= 0)
+    are dropped first, nonpositive gaps among them: below that, the Monte
+    Carlo noise floor flattens the fit.
     """
     ts = np.asarray(ts, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
-    if stderrs is not None:
-        se = np.asarray(stderrs, dtype=float)
-        keep = gaps > RATE_FIT_DROP_FACTOR * se
-        ts, gaps = ts[keep], gaps[keep]
-    if np.any(gaps <= 0):
-        raise ValueError("gaps must be positive")
+    keep = gaps > RATE_FIT_DROP_FACTOR * np.asarray(stderrs, dtype=float)
+    ts, gaps = ts[keep], gaps[keep]
     if len(ts) < 4:
         raise ValueError("fewer than 4 usable points for the rate fit")
-    slope, intercept = np.polyfit(ts, np.log(gaps), 1)
-    pred = slope * ts + intercept
-    ly = np.log(gaps)
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(exponent=float(-slope), intercept=float(intercept), r_squared=r2,
-                   n_points=len(ts))
+    return float(-np.polyfit(ts, np.log(gaps), 1)[0])

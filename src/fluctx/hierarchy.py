@@ -54,8 +54,8 @@ DRAW_RING = 3  # blocks of increments the helper may have drawn and not yet hand
 class SimConfig:
     """The simulation grid and chain order.
 
-    The chain never reads `eps`: it names the noise level a quantity reads
-    (and the one level that `simulate_batch(..., with_xfull=True)` steps).
+    The chain never reads `eps`; only the `with_xfull` alias of
+    `simulate_batch` (the one level it steps) and the `estimate_*` wrappers do.
     """
 
     dim: int

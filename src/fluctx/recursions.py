@@ -189,9 +189,10 @@ def d_table(n: int) -> RationalTable:
 def b_coeff(m: int, F: Observable, p_plus, table: RationalTable) -> float:
     """Long-time limit of the m-th dynamical expansion coefficient (d = 1).
 
-    b_m(F) = P(xi0>0) sum_i c_{m,i}/i! F^(i)(1)
-           + P(xi0<0) sum_i cbar_{m,i}/i! F^(i)(-1),
-    with b_0(F) = p F(1) + (1-p) F(-1).  Assembled in exact rationals.
+    b_m(F) = P(xi0>0) sum_{i=0..m} c_{m,i}/i! F^(i)(1)
+           + P(xi0<0) sum_{i=0..m} cbar_{m,i}/i! F^(i)(-1);
+    the i = 0 entry is 1 at m = 0 and 0 above, so b_0(F) = p F(1) + (1-p) F(-1).
+    Assembled in exact rationals.
     """
     if F.dim != 1:
         raise ValueError("b_coeff requires a scalar observable")
@@ -200,11 +201,8 @@ def b_coeff(m: int, F: Observable, p_plus, table: RationalTable) -> float:
     p = Fraction(p_plus).limit_denominator(10 ** 12) if isinstance(p_plus, float) else Fraction(p_plus)
     if not 0 <= p <= 1:
         raise ValueError("p_plus must be in [0, 1]")
-    if m == 0:
-        val = p * F.scalar_derivative_exact(0, 1) + (1 - p) * F.scalar_derivative_exact(0, -1)
-        return float(val)
     total = Fraction(0)
-    for i in range(1, m + 1):
+    for i in range(m + 1):
         w = Fraction(1, factorial(i))
         total += p * table.get(m, i) * w * F.scalar_derivative_exact(i, 1)
         total += (1 - p) * table.get(m, i, barred=True) * w * F.scalar_derivative_exact(i, -1)
@@ -212,17 +210,5 @@ def b_coeff(m: int, F: Observable, p_plus, table: RationalTable) -> float:
 
 
 def big_b_coeff(m: int, F: Observable, table: RationalTable) -> float:
-    """m-th coefficient of the equilibrium (Gibbs) expansion, weights 1/2, 1/2.
-
-    Includes the i = 0 column, which vanishes for m >= 1.
-    """
-    if F.dim != 1:
-        raise ValueError("big_b_coeff requires a scalar observable")
-    if m > table.order:
-        raise ValueError(f"m = {m} exceeds table order {table.order}")
-    total = Fraction(0)
-    for i in range(0, m + 1):
-        w = Fraction(1, 2 * factorial(i))
-        total += table.get(m, i) * w * F.scalar_derivative_exact(i, 1)
-        total += table.get(m, i, barred=True) * w * F.scalar_derivative_exact(i, -1)
-    return float(total)
+    """m-th coefficient of the equilibrium (Gibbs) expansion: b_m with weights 1/2, 1/2."""
+    return b_coeff(m, F, Fraction(1, 2), table)

@@ -178,8 +178,8 @@ def test_criterion_8_property_suites(capsys):
     def a2(res):
         return a_functional(2, X2, res, step)
 
-    _, slots = mc_multi_slots({"a2": a2}, cfg, law, 2000, 5, [step], noise=())
-    sizes = batch_layout(2000, 40)
+    _, slots = mc_multi_slots({"a2": a2}, cfg, law, 2000, 5, [step])
+    sizes = batch_layout(2000)
     checks["batch_independence"] = all(
         batch_slot(a2, cfg, law, sizes[b], 5, b, [step], ()) == slots["a2"][b]
         for b in (39, 20, 0))

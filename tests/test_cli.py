@@ -137,6 +137,12 @@ LATE_FAILURES = [
     (dict(STRONG, initial_law=dict(ANNULUS, higher_std=[None])), "/initial_law/higher_std"),
     (dict(STRONG, initial_law=dict(ANNULUS, higher_std=None)), "/initial_law/higher_std"),
     (dict(STRONG, experiment="weak_rates", observable="1"), "/observable"),
+    # vector_divergence's closed-form references hold only for xi_0 = e_1,
+    # xi_1 = 0 and F = x1
+    (dict(VECTOR, initial_law=dict(POINT2, kind="symmetric_two_point")), "/initial_law/kind"),
+    (dict(VECTOR, initial_law=dict(POINT2, point=[2.0, 0.0])), "/initial_law/point"),
+    (dict(VECTOR, initial_law=dict(POINT2, higher_std=[1.0])), "/initial_law/higher_std"),
+    (dict(VECTOR, observable="x1^2"), "/observable"),
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
@@ -174,6 +180,13 @@ class TestDryRun:
                            "simulation request(s)"
         assert len(lines) == 1 + PLANNED_REQUESTS[name]
         assert all(line.startswith("  - ") for line in lines[1:])
+
+    def test_vector_divergence_plans_where_its_references_hold(self, tmp_path, capsys):
+        # integer coordinates of e_1, and a nonzero xi_2, which no reference reads
+        law = dict(POINT2, point=[1, 0], higher_std=[0.0, 0.5])
+        path = write_config(tmp_path, **dict(VECTOR, initial_law=law))
+        assert main(["vector_divergence", "--config", str(path), "--dry-run"]) == 0
+        assert "noise ()" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fields, pointer", LATE_FAILURES)
     def test_late_failures_rejected_up_front(self, fields, pointer, tmp_path, capsys):

@@ -102,14 +102,13 @@ class TestStationarity:
 class TestResidualOrder:
     def test_order_zero_effective_rate(self):
         # residual after B_0 alone decays like eps (B_1 = 0)
-        fit = expansion_residual_order(*expansion_residuals(X2, 0, [0.1, 0.05, 0.02, 0.01], TABLE))
-        assert fit.exponent >= 0.9
+        order = expansion_residual_order(*expansion_residuals(X2, 0, [0.1, 0.05, 0.02, 0.01],
+                                                              TABLE))
+        assert order >= 0.9
 
     def test_order_two_rate(self):
         eps, residuals = expansion_residuals(X2, 2, [0.06, 0.04, 0.025, 0.015, 0.01], TABLE)
-        fit = expansion_residual_order(eps, residuals)
-        assert fit.exponent >= 1.8
-        assert fit.r_squared > 0.99
+        assert expansion_residual_order(eps, residuals) >= 1.8
 
     def test_floor_detection(self):
         # an odd observable has identically zero residual: the fit must
