@@ -3,15 +3,15 @@
 Each subcommand names an experiment suite; a checked-in config under
 configs/ reproduces the corresponding desk-scale check.  An experiment is
 a function cfg -> (requests, checks): each request holds the arguments of
-one `mc_multi` call (`noise_levels` reads its noise levels off its
-quantities, for the run and the `--dry-run` line), and `checks` turns the
-estimates into result rows.  Building the plan reads the whole config, so
-`--dry-run` rejects a bad config before any Monte Carlo; `run_experiment`
-runs and times each request.  Outputs are results.csv (one row per
-estimate or check), tables.csv (exact rational tables, when the
-experiment produces them) and manifest.json (config echo, versions, seed,
-wall time, seconds per request and for the checks).  Exit code 0 iff
-every pass flag is true, 2 if any check fails, 1 on runtime/config errors.
+one `mc_multi` call, and `checks` turns the estimates into result rows.
+Building the plan reads the whole config, so `--dry-run` rejects a bad
+config, or a batch that would keep more than MAX_BATCH_BYTES of slices,
+before any Monte Carlo.  Outputs are results.csv (one row per estimate or
+check), tables.csv (exact rational tables, when the experiment produces
+them) and manifest.json (config echo, versions, seed, wall time, seconds
+per request, each row's rule).  A row names one of the six RULES; its
+verdict follows from its own estimate, stderr and reference.  Exit code 0
+iff every row passes, 2 if any fails, 1 on runtime/config errors.
 
 results.csv is byte-identical across reruns of the same config; volatile
 quantities (wall times) go to manifest.json only.
@@ -26,6 +26,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, asdict
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
@@ -41,6 +42,7 @@ from .equilibrium import (
 )
 from .estimators import (
     a_functional,
+    batch_bytes,
     conditional_s,
     fit_exponential_rate,
     fit_power_law,
@@ -82,29 +84,18 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def law(self) -> InitialLaw:
-        spec = dict(self.initial_law or {})
-        kind = spec.pop("kind", None)
-        if kind is None:
+        # a null point counts as left out
+        spec = {k: v for k, v in (self.initial_law or {}).items() if k != "point" or v is not None}
+        spec = _typed(spec, _LAW_SCHEMA, "/initial_law/")
+        if "kind" not in spec:
             raise ConfigError("initial_law requires a 'kind'", "/initial_law/kind")
-        point = spec.pop("point", None)
-        r_min = spec.pop("r_min", 0.0)
-        r_max = spec.pop("r_max", 0.0)
-        higher_std = spec.pop("higher_std", ())
-        for key in spec:
-            raise ConfigError(f"unknown initial_law key {key!r}", f"/initial_law/{key}")
-        # point may be left out (None); higher_std may not be null
-        for key, values in (("point", () if point is None else point), ("higher_std", higher_std)):
-            if not (isinstance(values, (list, tuple)) and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-                raise ConfigError(f"{key} must be a list of numbers", f"/initial_law/{key}")
+        for key in ("point", "higher_std"):
+            if key in spec:
+                if not all(map(_number, spec[key])):
+                    raise ConfigError(f"{key} must be a list of numbers", f"/initial_law/{key}")
+                spec[key] = tuple(float(v) for v in spec[key])
         try:
-            return InitialLaw(
-                kind=kind,
-                point=tuple(point) if point is not None else None,
-                r_min=float(r_min),
-                r_max=float(r_max),
-                higher_std=tuple(float(s) for s in higher_std),
-            )
+            return InitialLaw(**spec)
         except ValueError as exc:
             raise ConfigError(str(exc), "/initial_law") from exc
 
@@ -130,7 +121,25 @@ _SCHEMA = {
     "observable": str,
     "output_dir": str,
 }
-_REQUIRED = ("experiment", "seed")
+_LAW_SCHEMA = {"kind": str, "point": list, "r_min": float, "r_max": float, "higher_std": list}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(doc: dict, schema: dict, at: str) -> dict:
+    """doc's fields, each a key of schema and of its type there (an int reads as a float)."""
+    clean = {}
+    for key, value in doc.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r}", f"{at}{key}")
+        if schema[key] is float and _number(value):
+            value = float(value)
+        if not isinstance(value, schema[key]) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be of type {schema[key].__name__}", f"{at}{key}")
+        clean[key] = value
+    return clean
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -144,50 +153,29 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid JSON: {exc}", "/") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object", "/")
-    for key in doc:
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", f"/{key}")
-    for key in _REQUIRED:
-        if key not in doc:
+    clean = _typed(doc, _SCHEMA, "/")
+    for key in ("experiment", "seed"):
+        if key not in clean:
             raise ConfigError(f"missing mandatory field {key!r}", f"/{key}")
-    clean = {}
-    for key, expected in _SCHEMA.items():
-        if key not in doc:
+    for key, words, ok in (("eps_grid", "floats in (0, 1)", lambda v: 0.0 < v < 1.0),
+                           ("time_grid", "nonnegative", lambda v: v >= 0)):
+        if key not in clean:
             continue
-        value = doc[key]
-        if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be of type {expected.__name__}", f"/{key}")
-        clean[key] = value
-    if clean["experiment"] not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {tuple(EXPERIMENTS)}", "/experiment"
-        )
-    if "eps_grid" in clean:
-        for i, e in enumerate(clean["eps_grid"]):
-            if not isinstance(e, (int, float)) or isinstance(e, bool) or not 0.0 < e < 1.0:
-                raise ConfigError("eps_grid entries must be floats in (0, 1)", f"/eps_grid/{i}")
-        clean["eps_grid"] = tuple(float(e) for e in clean["eps_grid"])
-    if "time_grid" in clean:
-        for i, t in enumerate(clean["time_grid"]):
-            if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0:
-                raise ConfigError("time_grid entries must be nonnegative", f"/time_grid/{i}")
-        clean["time_grid"] = tuple(float(t) for t in clean["time_grid"])
-    for key in ("eps_grid", "time_grid"):
-        if key in clean and not clean[key]:
-            raise ConfigError(f"{key} must not be empty", f"/{key}")
+        for i, v in enumerate(clean[key]):
+            if not _number(v) or not ok(v):
+                raise ConfigError(f"{key} entries must be {words}", f"/{key}/{i}")
+        if not clean[key] or len({f"{v:g}" for v in clean[key]}) < len(clean[key]):
+            raise ConfigError(f"{key} must be nonempty, with distinct :g labels", f"/{key}")
+        clean[key] = tuple(float(v) for v in clean[key])
     cfg = ExperimentConfig(**clean)
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0", "/seed")
-    if cfg.dim < 1:
-        raise ConfigError("dim must be >= 1", "/dim")
-    if not 0 <= cfg.order <= MAX_ORDER:
-        raise ConfigError(f"order must be in [0, {MAX_ORDER}]", "/order")
-    if not 0.0 < cfg.dt <= 1e-2:
-        raise ConfigError("dt must be in (0, 1e-2]", "/dt")
-    if cfg.n_paths < 100:
-        raise ConfigError("n_paths must be >= 100", "/n_paths")
+    for key, words, ok in (("experiment", f"one of {tuple(EXPERIMENTS)}",
+                            cfg.experiment in EXPERIMENTS),
+                           ("seed", ">= 0", cfg.seed >= 0), ("dim", ">= 1", cfg.dim >= 1),
+                           ("order", f"in [0, {MAX_ORDER}]", 0 <= cfg.order <= MAX_ORDER),
+                           ("dt", "in (0, 1e-2]", 0.0 < cfg.dt <= 1e-2),
+                           ("n_paths", ">= 100", cfg.n_paths >= 100)):
+        if not ok:
+            raise ConfigError(f"{key} must be {words}", f"/{key}")
     return cfg
 
 
@@ -199,7 +187,19 @@ def config_to_document(cfg: ExperimentConfig) -> dict:
     return {k: v for k, v in doc.items() if v is not None}
 
 
-# -- result rows ---------------------------------------------------------------
+# -- result rows and their pass rules -----------------------------------------
+
+
+# the six pass rules: name -> (statement, test(estimate e, stderr s, reference r, tol))
+RULES = {
+    "reported": ("always passes", lambda e, s, r, tol: True),
+    "sigma": ("|estimate - reference| <= 3 stderr", lambda e, s, r, tol: abs(e - r) <= 3.0 * s),
+    "at_least": ("estimate >= reference", lambda e, s, r, tol: e >= r),
+    "relative": ("reference != 0 and |estimate - reference| <= tol |reference|",
+                 lambda e, s, r, tol: r != 0 and abs(e - r) <= tol * abs(r)),
+    "within": ("|estimate - reference| <= tol", lambda e, s, r, tol: abs(e - r) <= tol),
+    "exact": ("estimate == reference", lambda e, s, r, tol: e == r),
+}
 
 
 @dataclass
@@ -209,7 +209,12 @@ class ResultRow:
     stderr: Optional[float]
     reference: Optional[float]
     provenance: str  # paper | derived | trivial | none
-    passed: bool
+    rule: str  # a key of RULES; the verdict follows from the row's own columns
+    tol: Optional[float] = None  # the parameter of "relative" and "within"
+
+    @property
+    def passed(self) -> bool:
+        return bool(RULES[self.rule][1](self.estimate, self.stderr, self.reference, self.tol))
 
     def csv_values(self):
         fmt = lambda v: "" if v is None else repr(float(v))
@@ -247,8 +252,9 @@ def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
         },
         "wall_time_s": wall_time,
         "runtimes_s": runtimes,
-        "n_rows": len(rows),
         "n_failed": sum(not r.passed for r in rows),
+        "rules": [{"params": r.params, "rule": r.rule, "tol": r.tol, "test": RULES[r.rule][0],
+                   "passed": r.passed} for r in rows],
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -256,6 +262,10 @@ def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
 
 
 # -- experiment plans: cfg -> (requests, checks(estimates by label)) ----------
+
+
+# the time slices one batch keeps; the checked-in configs keep at most 1.44 MB
+MAX_BATCH_BYTES = 256 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -270,18 +280,21 @@ class Request:
     slice_steps: list
     quantities: dict  # name -> values_fn(batch) or (values_fn, mask_fn)
 
+    def __post_init__(self):
+        if self.law.point is not None and len(self.law.point) != self.sim.dim:
+            raise ConfigError(f"point has {len(self.law.point)} components, dim is "
+                              f"{self.sim.dim}", "/initial_law/point")
+        kept = batch_bytes(self.quantities, self.sim, self.n_paths, self.slice_steps)
+        if kept > MAX_BATCH_BYTES:
+            raise ConfigError(f"{self.label}: one batch would keep {kept:,} bytes of time slices,"
+                              f" above {MAX_BATCH_BYTES:,}", "/n_paths")
+
     def __str__(self):
+        kept = batch_bytes(self.quantities, self.sim, self.n_paths, self.slice_steps)
         return (f"{self.label}: {self.sim}, {self.law.kind} law, {self.n_paths} paths, "
                 f"seed {self.seed}, slice steps {self.slice_steps}, "
-                f"noise {noise_levels(self.quantities)}, {len(self.quantities)} quantities")
-
-
-def _law(cfg: ExperimentConfig) -> InitialLaw:
-    law = cfg.law()
-    if law.point is not None and len(law.point) != cfg.dim:
-        raise ConfigError(f"point has {len(law.point)} components, dim is {cfg.dim}",
-                          "/initial_law/point")
-    return law
+                f"noise {noise_levels(self.quantities)}, {len(self.quantities)} quantities, "
+                f"{kept:,} bytes of slices a batch")
 
 
 def _simulation(cfg: ExperimentConfig, order: int):
@@ -312,20 +325,17 @@ def _recursion_tables(cfg):
 
     def checks(est):
         table = c_table(n)
-        rows = []
         anchors = [((1, 1), 0, 1, "paper"), ((2, 2), 1, 2, "paper"),
                    ((2, 1), -3, 4, "derived"), ((4, 4), 3, 4, "derived"),
                    ((4, 3), -15, 8, "derived"), ((4, 2), 39, 16, "derived"),
                    ((4, 1), -87, 32, "derived")]
-        for (m, i), num, den, prov in anchors:
-            got = table.get(m, i)
-            rows.append(ResultRow(f"c[{m},{i}]", float(got), None, num / den,
-                                  prov, got.numerator == num and got.denominator == den))
+        rows = [ResultRow(f"c[{m},{i}]", table.get(m, i), None, Fraction(num, den), prov, "exact")
+                for (m, i), num, den, prov in anchors]
         odd_nonzero = sum(
             1 for (m, i), v, vbar in table.entries() if m % 2 == 1 and (v != 0 or vbar != 0)
         )
         rows.append(ResultRow(f"odd_m_nonzero_entries(n={n})",
-                              float(odd_nonzero), None, 0.0, "paper", odd_nonzero == 0))
+                              float(odd_nonzero), None, 0.0, "paper", "exact"))
         return rows, [table]
 
     return [], checks
@@ -336,9 +346,8 @@ def _consistency(cfg):
 
     def checks(est):
         ct, dtab = c_table(n), d_table(n)
-        equal = ct.equals(dtab)
-        return [ResultRow(f"c_equals_d(n={n})", float(equal), None,
-                          1.0, "paper", equal)], [ct, dtab]
+        return [ResultRow(f"c_equals_d(n={n})", float(ct.equals(dtab)), None,
+                          1.0, "paper", "exact")], [ct, dtab]
 
     return [], checks
 
@@ -357,29 +366,27 @@ def _equilibrium_check(cfg):
         table = d_table(max(cfg.order + 2, 8))
         defect, scale = stationarity_defect(F, cfg.eps_grid[0])
         rows = [ResultRow(f"stationarity_defect(eps={cfg.eps_grid[0]:g})",
-                          defect, None, 0.0, "derived", abs(defect) <= 1e-10 * scale)]
+                          defect, None, 0.0, "derived", "within", 1e-10 * scale)]
         try:
             eps, residuals = expansion_residuals(F, cfg.order, cfg.eps_grid, table)
         except ValueError:  # a residual at the quadrature floor: no order to read off
             return rows + [ResultRow("residual_order", float("nan"), None, 1.8, "paper",
-                                     False)], []
+                                     "at_least")], []
         for e, r in zip(eps, residuals):
-            rows.append(ResultRow(f"residual(eps={e:g})", r, None, None, "none", True))
+            rows.append(ResultRow(f"residual(eps={e:g})", r, None, None, "none", "reported"))
         order = expansion_residual_order(eps, residuals)
-        rows.append(ResultRow("residual_order", order, None,
-                              1.8, "paper", order >= 1.8))
-        coeffs = residual_coefficient_fit(eps, residuals, cfg.order, degree=3)
+        rows.append(ResultRow("residual_order", order, None, 1.8, "paper", "at_least"))
+        coeffs = residual_coefficient_fit(eps, residuals, cfg.order)
         lead = float(big_b_coeff(cfg.order + 2, F, table))
         rows.append(ResultRow(f"leading_coefficient(eps^{(cfg.order + 2) // 2})",
-                              float(coeffs[0]), None, lead, "derived",
-                              lead != 0 and abs(coeffs[0] - lead) <= 0.1 * abs(lead)))
+                              float(coeffs[0]), None, lead, "derived", "relative", 0.1))
         return rows, []
 
     return [], checks
 
 
 def _strong_rates(cfg):
-    law, eps_list = _law(cfg), _fit_eps(cfg)
+    law, eps_list = cfg.law(), _fit_eps(cfg)
     t = max(cfg.time_grid)
     sim, steps = _simulation(cfg, cfg.order)
     qs = {}
@@ -395,18 +402,17 @@ def _strong_rates(cfg):
                 e = est[w.label][eps, m]
                 per_m[m].append(e.value)
                 rows.append(ResultRow(f"E|w_{m}|^2(eps={eps:g},t={t:g})",
-                                      e.value, e.stderr, None, "none", True))
+                                      e.value, e.stderr, None, "none", "reported"))
         for m, values in enumerate(per_m):
             order = fit_power_law(eps_list, values)
-            rows.append(ResultRow(f"strong_order(m={m})", order,
-                                  None, 0.9, "paper", order >= 0.9))
+            rows.append(ResultRow(f"strong_order(m={m})", order, None, 0.9, "paper", "at_least"))
         return rows, []
 
     return [w], checks
 
 
 def _weak_rates(cfg):
-    law, F, eps_list = _law(cfg), cfg.parsed_observable(), _fit_eps(cfg)
+    law, F, eps_list = cfg.law(), cfg.parsed_observable(), _fit_eps(cfg)
     if F.max_degree == 0:
         raise ConfigError("weak_rates fits |v| over eps, which a constant observable makes 0",
                           "/observable")
@@ -436,17 +442,15 @@ def _weak_rates(cfg):
             e = est[vm.label][eps]
             vals.append(abs(e.value))
             rows.append(ResultRow(f"v_{m}(eps={eps:g},t={t:g})",
-                                  e.value, e.stderr, None, "none", True))
+                                  e.value, e.stderr, None, "none", "reported"))
         order = fit_power_law(eps_list, vals)
-        rows.append(ResultRow(f"weak_order(m={m})", order,
-                              None, 0.4, "paper", order >= 0.4))
+        rows.append(ResultRow(f"weak_order(m={m})", order, None, 0.4, "paper", "at_least"))
         v, a1, a2 = est[v0.label]["v"], est[coeffs.label]["a1"], est[coeffs.label]["a2"]
         pred = np.sqrt(eps_c) * a1.value + eps_c * a2.value
         combined = float(np.sqrt(v.stderr ** 2 + eps_c * a1.stderr ** 2
                                  + eps_c ** 2 * a2.stderr ** 2))
         rows.append(ResultRow(f"v_0_consistency(eps={eps_c:g},t={t:g})",
-                              v.value, combined, pred, "derived",
-                              abs(v.value - pred) <= 3.0 * combined))
+                              v.value, combined, pred, "derived", "sigma"))
         return rows, []
 
     return [vm, v0, coeffs], checks
@@ -455,7 +459,7 @@ def _weak_rates(cfg):
 def _longtime_scalar(cfg):
     if cfg.dim != 1:
         raise ConfigError("longtime_scalar is a d = 1 experiment", "/dim")
-    law, F = _law(cfg), cfg.parsed_observable()
+    law, F = cfg.law(), cfg.parsed_observable()
     if law.kind == "deterministic_point" and law.point[0] < 0:
         raise ConfigError("S_22 is conditioned on xi_0 > 0, which a negative point never has",
                           "/initial_law/point")
@@ -487,22 +491,24 @@ def _longtime_scalar(cfg):
             if t in window:
                 gaps.append(abs(e.value - 0.5))
                 ses.append(e.stderr)
-            rows.append(ResultRow(f"S22_plus(t={t:g})", e.value, e.stderr, 0.5, "paper", True))
+            rows.append(ResultRow(f"S22_plus(t={t:g})", e.value, e.stderr, 0.5, "paper",
+                                  "reported"))
         final = s_out[f"s22_{window[-1]:g}"]
         rows.append(ResultRow(f"S22_limit(t={window[-1]:g})", final.value,
-                              final.stderr, 0.5, "paper", final.agrees_with(0.5)))
+                              final.stderr, 0.5, "paper", "sigma"))
         try:
             rate = fit_exponential_rate(window, gaps, ses)
         except ValueError:  # too few window points clear the Monte Carlo noise floor
             rate = float("nan")
-        rows.append(ResultRow("S22_rate", rate, None, 0.8, "paper", rate >= 0.8))
+        rows.append(ResultRow("S22_rate", rate, None, 0.8, "paper", "at_least"))
         table = c_table(8)
         b = {m: b_coeff(m, F, p_plus, table) for m in (1, 2, 3)}
         for t in times:
             for m in (1, 2, 3):
                 e = a_out[f"a{m}_{t:g}"]
-                check = e.agrees_with(b[m]) if (m != 2 or t == times[-1]) else True
-                rows.append(ResultRow(f"a{m}(t={t:g})", e.value, e.stderr, b[m], "paper", check))
+                # a_2 drifts toward its limit: only the final time is held to it
+                rule = "sigma" if (m != 2 or t == times[-1]) else "reported"
+                rows.append(ResultRow(f"a{m}(t={t:g})", e.value, e.stderr, b[m], "paper", rule))
         return rows, []
 
     return [s22, coeffs], checks
@@ -512,7 +518,7 @@ def _vector_divergence(cfg):
     d = cfg.dim
     if d < 2:
         raise ConfigError("vector_divergence requires dim >= 2", "/dim")
-    law, F = _law(cfg), cfg.parsed_observable()
+    law, F = cfg.law(), cfg.parsed_observable()
     # the references below are closed forms for xi_0 = e_1, xi_1 = 0 and F = x1
     e1 = (1,) + (0,) * (d - 1)
     for wrong, pointer in ((law.kind != "deterministic_point", "/initial_law/kind"),
@@ -544,21 +550,17 @@ def _vector_divergence(cfg):
         for t in times:
             e = out[f"a2_{t:g}"]
             ref = closed_a2(t)
-            rows.append(ResultRow(f"a2(t={t:g})", e.value, e.stderr,
-                                  ref, "derived", e.agrees_with(ref)))
+            rows.append(ResultRow(f"a2(t={t:g})", e.value, e.stderr, ref, "derived", "sigma"))
         slope = float(np.polyfit(fit_ts, [out[f"a2_{t:g}"].value for t in fit_ts], 1)[0])
         target = -(d - 1.0)
-        rows.append(ResultRow("a2_slope_in_t", slope, None, target,
-                              "paper", abs(slope - target) <= 0.2 * abs(target)))
+        rows.append(ResultRow("a2_slope_in_t", slope, None, target, "paper", "relative", 0.2))
         for t in (times[0], times[-1]):
             e = out[f"r1sq_{t:g}"]
             ref = (1 - np.exp(-4 * t)) / 2
-            rows.append(ResultRow(f"var_r1(t={t:g})", e.value, e.stderr,
-                                  ref, "derived", e.agrees_with(ref)))
+            rows.append(ResultRow(f"var_r1(t={t:g})", e.value, e.stderr, ref, "derived", "sigma"))
             e = out[f"v1sq_{t:g}"]
             ref = 2.0 * (d - 1) * t
-            rows.append(ResultRow(f"E|v1|^2(t={t:g})", e.value, e.stderr,
-                                  ref, "derived", e.agrees_with(ref)))
+            rows.append(ResultRow(f"E|v1|^2(t={t:g})", e.value, e.stderr, ref, "derived", "sigma"))
         return rows, []
 
     return [chain], checks
@@ -600,13 +602,12 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False, stream=None) ->
     if tables:
         _write_tables(tables, out_dir)
     _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, runtimes)
-    failed = [r for r in rows if not r.passed]
     for r in rows:
         mark = "ok  " if r.passed else "FAIL"
-        print(f"{mark} {cfg.experiment}:{r.params} = {r.estimate:.6g}"
-              + (f" (ref {r.reference:.6g})" if r.reference is not None else ""),
+        print(f"{mark} {cfg.experiment}:{r.params} = {float(r.estimate):.6g}"
+              + (f" (ref {float(r.reference):.6g})" if r.reference is not None else ""),
               file=stream)
-    return 2 if failed else 0
+    return 0 if all(r.passed for r in rows) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,8 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", required=True, help="path to a JSON config")
-        # batches run in order on one thread; --workers stays accepted for
-        # the benchmark's round scripts until ROADMAP item 4(a) drops it there
+        # the benchmark's round scripts still pass --workers (ROADMAP item 1)
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored (must be >= 1): batches run on one thread")
         p.add_argument("--dry-run", action="store_true",

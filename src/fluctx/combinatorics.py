@@ -42,24 +42,18 @@ def compositions(m: int, i: int) -> tuple:
 def s_value(m: int, i: int, xbar: Sequence[float]) -> float:
     """S_{m,i} = sum over compositions (j_1..j_i) of prod xbar[j_k] (d = 1).
 
-    `xbar` supplies the fluctuation values X1..Xm (index 0 unused or absent:
-    we accept either a 1-based list of length m+1 with a dummy slot 0, or a
-    0-based list [X1, ..., Xm]).  The values may be floats or equal-shape
-    arrays; arrays are combined elementwise (one S value per path or time).
+    `xbar` is the list [X1, ..., Xm] (entries past Xm are not read).  The
+    values may be floats or equal-shape arrays; arrays are combined
+    elementwise (one S value per path or time).
     """
     comps = compositions(m, i)
     if not comps:
         return 0.0
-    # 1-based lookup; tolerate a plain [X1..Xm] list.
-    if len(xbar) >= m + 1:
-        get = lambda j: xbar[j]
-    else:
-        get = lambda j: xbar[j - 1]
     total = 0.0
     for comp in comps:
         prod = 1.0
         for j in comp:
-            prod *= get(j)
+            prod *= xbar[j - 1]
         total += prod
     return total
 

@@ -32,11 +32,10 @@ class QuadratureSpec:
 
     radius: float
     edges: tuple
-    order: int
     tail_bound: float
 
     @classmethod
-    def for_eps(cls, eps: float, refine: float = 1.0, order: int = 16) -> "QuadratureSpec":
+    def for_eps(cls, eps: float) -> "QuadratureSpec":
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
         bulk = np.sqrt(np.pi * eps)  # lower bound on one well's shifted mass
@@ -48,18 +47,18 @@ class QuadratureSpec:
             radius += 0.25
             if radius > 12.0:
                 raise ValueError("tail bound not satisfiable")
-        w_coarse = 0.1 * refine
-        w_fine = min(w_coarse, 0.25 * np.sqrt(eps) * refine)
+        w_coarse = 0.1
+        w_fine = min(w_coarse, 0.25 * np.sqrt(eps))
         cuts = [-radius, -1.5, -0.5, 0.5, 1.5, radius]
         widths = [w_coarse, w_fine, w_coarse, w_fine, w_coarse]
         edges = [cuts[0]]
         for left, right, w in zip(cuts[:-1], cuts[1:], widths):
             k = max(1, int(np.ceil((right - left) / w)))
             edges.extend(np.linspace(left, right, k + 1)[1:])
-        return cls(radius=radius, edges=tuple(edges), order=order, tail_bound=float(tail))
+        return cls(radius=radius, edges=tuple(edges), tail_bound=float(tail))
 
     def nodes_weights(self):
-        y, w = np.polynomial.legendre.leggauss(self.order)
+        y, w = np.polynomial.legendre.leggauss(16)  # nodes per panel
         edges = np.asarray(self.edges)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -73,34 +72,31 @@ def _tail_bound(radius: float, eps: float) -> float:
     return float(np.exp((2.0 - radius ** 2) / eps) * eps / radius)
 
 
-def _quad(values_fn, eps: float, spec: QuadratureSpec) -> float:
-    x, w = spec.nodes_weights()
+def _quad(values_fn, eps: float) -> float:
+    x, w = QuadratureSpec.for_eps(eps).nodes_weights()
     weight = np.exp(-(potential_value(x[:, None]) - V_MIN) / eps)
     # fixed summation order for reproducibility
     return float(np.add.reduce(values_fn(x) * weight * w))
 
 
-def partition_function(eps: float, spec: QuadratureSpec | None = None) -> float:
+def partition_function(eps: float) -> float:
     """Shifted partition function: int exp(-(V(x) - V(1))/eps) dx.
 
     The physical normalizer is exp(-V(1)/eps) times this.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    spec = spec or QuadratureSpec.for_eps(eps)
-    return _quad(lambda x: np.ones_like(x), eps, spec)
+    return _quad(lambda x: np.ones_like(x), eps)
 
 
-def gibbs_expectation(F: Observable, eps: float, spec: QuadratureSpec | None = None) -> float:
+def gibbs_expectation(F: Observable, eps: float) -> float:
     """int F dmu_eps by shifted composite Gauss-Legendre quadrature (d = 1)."""
     if F.dim != 1:
         raise ValueError("gibbs_expectation requires a scalar observable")
-    spec = spec or QuadratureSpec.for_eps(eps)
-    num = _quad(lambda x: F.eval_batch(x[:, None]), eps, spec)
-    return num / partition_function(eps, spec)
+    return _quad(lambda x: F.eval_batch(x[:, None]), eps) / partition_function(eps)
 
 
-def stationarity_defect(F: Observable, eps: float, spec: QuadratureSpec | None = None):
+def stationarity_defect(F: Observable, eps: float):
     """Residual of the stationary Fokker-Planck identity for a test polynomial.
 
     Returns (defect, scale) where defect = int (x - x^3) F' dmu + eps int F'' dmu.
@@ -110,14 +106,13 @@ def stationarity_defect(F: Observable, eps: float, spec: QuadratureSpec | None =
     """
     if F.dim != 1:
         raise ValueError("requires a scalar observable")
-    spec = spec or QuadratureSpec.for_eps(eps)
     Fp = F.partial((0,))
     Fpp = Fp.partial((0,))
-    z = partition_function(eps, spec)
-    first = _quad(lambda x: (x - x ** 3) * Fp.eval_batch(x[:, None]), eps, spec) / z
-    second = _quad(lambda x: Fpp.eval_batch(x[:, None]), eps, spec) / z
-    first_abs = _quad(lambda x: np.abs((x - x ** 3) * Fp.eval_batch(x[:, None])), eps, spec) / z
-    second_abs = _quad(lambda x: np.abs(Fpp.eval_batch(x[:, None])), eps, spec) / z
+    z = partition_function(eps)
+    first = _quad(lambda x: (x - x ** 3) * Fp.eval_batch(x[:, None]), eps) / z
+    second = _quad(lambda x: Fpp.eval_batch(x[:, None]), eps) / z
+    first_abs = _quad(lambda x: np.abs((x - x ** 3) * Fp.eval_batch(x[:, None])), eps) / z
+    second_abs = _quad(lambda x: np.abs(Fpp.eval_batch(x[:, None])), eps) / z
     return first + eps * second, first_abs + eps * second_abs
 
 
@@ -143,7 +138,7 @@ def expansion_residuals(
         raise ValueError("eps values must lie in [0.005, 0.3]")
     residuals = []
     for eps in eps_list:
-        value = gibbs_expectation(F, eps, QuadratureSpec.for_eps(eps))
+        value = gibbs_expectation(F, eps)
         pred = sum(eps ** (k / 2.0) * big_b_coeff(k, F, table) for k in range(m + 1))
         r = value - pred
         if abs(r) < QUADRATURE_FLOOR * max(1.0, abs(value)):
@@ -163,16 +158,15 @@ def residual_coefficient_fit(
     eps: Sequence[float],
     residuals: Sequence[float],
     m: int,
-    degree: int = 3,
 ) -> np.ndarray:
-    """Least-squares coefficients (c_{m+2}, c_{m+3}, ...) of the order-m residuals.
+    """Least-squares coefficients (c_{m+2}, c_{m+4}, c_{m+6}) of the order-m residuals.
 
-    Fits r(eps) = sum_j c_j eps^{j/2} over j = m+2, ..., m+2+degree-1 with the
-    half-integer odd powers skipped (they vanish by symmetry), i.e. basis
-    eps^{(m+2)/2}, eps^{(m+4)/2}, ...  Returns the coefficient vector.
+    Fits r(eps) = sum_j c_j eps^{j/2} over j = m+2, m+4, m+6, the odd j
+    skipped (they vanish by symmetry), i.e. basis eps^{(m+2)/2},
+    eps^{(m+4)/2}, eps^{(m+6)/2}.  Returns the coefficient vector.
     """
     eps_arr = np.asarray(eps, dtype=float)
-    powers = [(m + 2 + 2 * j) / 2.0 for j in range(degree)]
+    powers = [(m + 2 + 2 * j) / 2.0 for j in range(3)]
     A = np.stack([eps_arr ** p for p in powers], axis=1)
     coeffs, *_ = np.linalg.lstsq(A, np.asarray(residuals, dtype=float), rcond=None)
     return coeffs

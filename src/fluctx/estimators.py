@@ -40,9 +40,6 @@ class McEstimate:
     n_batches: int
     n_aborted: int = 0  # paths left out because they aborted (chain or the trajectory read)
 
-    def agrees_with(self, reference: float, k_sigma: float = 3.0) -> bool:
-        return abs(self.value - reference) <= k_sigma * self.stderr
-
 
 def batch_layout(n_paths: int) -> List[int]:
     """Deterministic sizes of the N_BATCHES batches, summing to n_paths."""
@@ -93,6 +90,12 @@ def _specs(quantities) -> list:
 def noise_levels(quantities) -> tuple:
     """The noise levels the quantities read (`reads_noise`), in the order first read."""
     return tuple(dict.fromkeys(eps for _, _, eps in _specs(quantities) if eps is not None))
+
+
+def batch_bytes(quantities, cfg: SimConfig, n_paths: int, slice_steps: Sequence[int]) -> int:
+    """Bytes the largest batch keeps: per slice, Xbar_0..Xbar_order and X_eps per level."""
+    arrays = cfg.order + 1 + len(noise_levels(quantities))
+    return len(set(slice_steps)) * arrays * cfg.dim * max(batch_layout(n_paths)) * 8
 
 
 def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
@@ -170,7 +173,7 @@ def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
         raise ValueError("sign must be '+' or '-'")
 
     def values(res):
-        return s_value(m, i, [None] + [res.xbar_at(step, j)[:, 0] for j in range(1, m + 1)])
+        return s_value(m, i, [res.xbar_at(step, j)[:, 0] for j in range(1, m + 1)])
 
     def wanted(res):
         return res.xi0[:, 0] > 0 if sign == "+" else res.xi0[:, 0] < 0

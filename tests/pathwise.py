@@ -121,7 +121,7 @@ def s_path(path: FluctuationPath, m: int, i: int) -> np.ndarray:
         raise ValueError("s_path requires d = 1")
     if not 1 <= i <= m <= path.order:
         raise ValueError("need 1 <= i <= m <= order")
-    return combinatorics.s_value(m, i, [None] + [path.xbar[k][:, 0] for k in range(1, m + 1)])
+    return combinatorics.s_value(m, i, [path.xbar[k][:, 0] for k in range(1, m + 1)])
 
 
 def batch_slot(values_fn, cfg: SimConfig, law: InitialLaw, size: int, seed: int, b: int,

@@ -159,7 +159,7 @@ def test_criterion_8_property_suites(capsys):
     checks["derivative_symmetry"] = abs(base - perm) < 1e-12
 
     # composition splitting identity S_{4,4} = sum_l S_{l,3} S_{4-l,1}
-    vals = [None, 0.7, -1.2, 0.4, 0.9]
+    vals = [0.7, -1.2, 0.4, 0.9]
     lhs = s_value(4, 4, vals)
     rhs = sum(s_value(l, 3, vals) * s_value(4 - l, 1, vals) for l in range(2, 4))
     checks["splitting_identity"] = abs(lhs - rhs) < 1e-12

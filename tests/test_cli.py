@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctx import cli
+from fluctx.combinatorics import MAX_ORDER
 from fluctx.cli import (
     ConfigError,
     config_to_document,
@@ -143,6 +151,15 @@ LATE_FAILURES = [
     (dict(VECTOR, initial_law=dict(POINT2, point=[2.0, 0.0])), "/initial_law/point"),
     (dict(VECTOR, initial_law=dict(POINT2, higher_std=[1.0])), "/initial_law/higher_std"),
     (dict(VECTOR, observable="x1^2"), "/observable"),
+    # found by the schema property: a radius that is no number failed in float()
+    (dict(STRONG, initial_law=dict(ANNULUS, r_min=None)), "/initial_law/r_min"),
+    # a repeated time made the slope fit degenerate; two times that print
+    # alike under :g shared one quantity name, so one overwrote the other
+    (dict(VECTOR, time_grid=[1.0, 2.0, 2.0]), "/time_grid"),
+    (dict(VECTOR, dt=1e-7, time_grid=[0.5, 2.0000001, 2.0000002]), "/time_grid"),
+    # the first batch would keep 1 000 x 3 x 3 x 25 000 doubles of time slices
+    (dict(VECTOR, dim=3, initial_law={"kind": "deterministic_point", "point": [1.0, 0.0, 0.0]},
+          time_grid=[k / 100 for k in range(1, 1001)], n_paths=1_000_000), "/n_paths"),
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
@@ -212,6 +229,8 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["n_failed"] == 0
+        assert [r["rule"] for r in manifest["rules"]] == ["exact"] * (len(rows) - 1)
+        assert manifest["rules"][0]["test"] == "estimate == reference"
         assert "wall_time_s" in manifest
 
     def test_check_failure_exits_2(self, tmp_path):
@@ -345,3 +364,123 @@ class TestMain:
         assert "workers" not in json.loads((out / "manifest.json").read_text())
         assert main(["recursion_tables", "--config", str(path), "--workers", "0"]) == 1
         assert "workers must be >= 1" in capsys.readouterr().err
+
+
+class TestRules:
+    # (rule, tol, estimate on the boundary, stderr, reference, the side past it)
+    BOUNDARIES = [
+        ("sigma", None, 2.5, 0.5, 1.0, np.inf),  # |2.5 - 1| = 3 x 0.5
+        ("at_least", None, 0.9, None, 0.9, -np.inf),
+        ("relative", 0.1, 11.0, None, 10.0, np.inf),  # |11 - 10| = 0.1 x 10
+        ("within", 0.5, 1.5, None, 1.0, np.inf),
+        ("exact", None, 0.75, None, 0.75, np.inf),
+    ]
+
+    @pytest.mark.parametrize("rule, tol, est, se, ref, past", BOUNDARIES)
+    def test_boundary(self, rule, tol, est, se, ref, past):
+        test = cli.RULES[rule][1]
+        assert test(est, se, ref, tol)
+        assert not test(np.nextafter(est, past), se, ref, tol)
+        nan = float("nan")
+        assert not test(nan, se, ref, tol)
+        assert not test(est, se, nan, tol)
+        assert rule != "sigma" or not test(est, nan, ref, tol)
+
+    def test_reported_always_passes(self):
+        assert cli.RULES["reported"][1](float("nan"), None, None, None)
+
+    def test_relative_needs_a_nonzero_reference(self):
+        assert not cli.RULES["relative"][1](0.0, None, 0.0, 0.1)
+
+    def test_exact_compares_fractions_exactly(self):
+        exact = cli.RULES["exact"][1]
+        assert exact(Fraction(39, 16), None, Fraction(39, 16), None)
+        assert not exact(Fraction(1, 3), None, 1 / 3, None)
+
+    def test_a_row_passes_by_its_own_columns(self):
+        row = cli.ResultRow("S22_rate", float("nan"), None, 0.8, "paper", "at_least")
+        assert row.csv_values()[-1] == "false"
+        row = cli.ResultRow("a2_slope_in_t", -0.9, None, -1.0, "paper", "relative", 0.2)
+        assert row.passed
+
+
+# every key of cli._SCHEMA but output_dir, with good values and some bad ones
+_BAD = st.sampled_from([None, True, "x", [1.0], {"a": 1}, -1])
+_STDS = st.lists(st.sampled_from([0.0, 0.5, 1.0, 30.0]), max_size=3)
+_LAW = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["deterministic_point", "symmetric_two_point"]),
+         "point": st.lists(st.sampled_from([1.0, 0.0, -1.0, 0.5, 2, 10.0]), min_size=1,
+                           max_size=4)},
+        optional={"higher_std": _STDS}),
+    st.fixed_dictionaries(
+        {"kind": st.just("uniform_annulus"), "r_min": st.sampled_from([0.0, 0.6, 1.0]),
+         "r_max": st.sampled_from([0.5, 1.4, 2.0, 10.0])}, optional={"higher_std": _STDS}),
+    st.dictionaries(st.sampled_from(["kind", "point", "r_min", "r_max", "higher_std", "radius"]),
+                    st.one_of(_BAD, st.sampled_from(["uniform_annulus", 0.5, [1.0, 0.0]])),
+                    max_size=4),
+)
+_FIELDS = {
+    "seed": st.integers(-1, 2 ** 64),
+    "dim": st.integers(0, 4),
+    "order": st.integers(0, MAX_ORDER),
+    "eps_grid": st.lists(st.sampled_from([0.4, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005]),
+                         min_size=1, max_size=6, unique=True),
+    # times on the 0.01 grid, and 0.125 off it
+    "time_grid": st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.125, 2.0, 2.1]),
+                          min_size=1, max_size=6),
+    "dt": st.sampled_from([0.01, 0.005, 0.025, 0.0]),
+    "n_paths": st.sampled_from([100, 200, 40]),
+    "initial_law": _LAW,
+    "observable": st.sampled_from(["x1", "x1^2", "x1^4 - x1^2", "1", "x2", "x1*x2", "x1 +"]),
+}
+_ANY_FIELD = {key: st.one_of(value, _BAD) for key, value in _FIELDS.items()}
+# one config per experiment that plans, at a few hundred paths and steps
+_BASES = [
+    dict(STRONG, n_paths=200, time_grid=[0.5]),
+    dict(STRONG, experiment="weak_rates", n_paths=200, time_grid=[0.5],
+         eps_grid=[0.4, 0.2, 0.1, 0.05], observable="x1^2"),
+    dict(LONGTIME, n_paths=200),
+    dict(VECTOR, n_paths=200, time_grid=[0.5, 2.0, 2.1]),
+    EQUILIBRIUM,
+    dict(experiment="recursion_tables"),
+    dict(experiment="consistency"),
+]
+_CONFIGS = st.one_of(
+    # free draws of the right types; n_paths and dt always set, as their
+    # defaults simulate for minutes
+    st.fixed_dictionaries(
+        {"experiment": st.sampled_from(sorted(cli.EXPERIMENTS)), "seed": _FIELDS["seed"],
+         "n_paths": _FIELDS["n_paths"], "dt": _FIELDS["dt"]},
+        optional={k: v for k, v in _FIELDS.items() if k not in ("seed", "n_paths", "dt")}),
+    # a config that plans, with one or two fields redrawn, of any type
+    st.tuples(st.sampled_from(_BASES),
+              st.lists(st.sampled_from(sorted(_FIELDS)), min_size=1, max_size=2, unique=True)
+              .flatmap(lambda keys: st.fixed_dictionaries({k: _ANY_FIELD[k] for k in keys})))
+    .map(lambda drawn: {"seed": 7, **drawn[0], **drawn[1]}),
+)
+
+
+def test_the_property_draws_every_schema_key():
+    assert set(_FIELDS) | {"experiment", "output_dir"} == set(cli._SCHEMA)
+
+
+# about 25 s on 2 cores: 800 configs, of which some 140 run (50 with Monte Carlo)
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(_CONFIGS)
+def test_every_config_is_rejected_up_front_or_reaches_a_verdict(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(dict(doc, output_dir=str(Path(tmp) / "out"))))
+        argv = [doc["experiment"], "--config", str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            planned = main(argv + ["--dry-run"])
+            if planned == 1:
+                assert err.getvalue().startswith("config error: ")
+                assert err.getvalue().rstrip().endswith(")") and "(at /" in err.getvalue()
+                return
+            assert planned == 0
+            # diverging paths may trip the abort budget; nothing else fails a run
+            assert main(argv) in (0, 2) or "paths aborted by batch" in err.getvalue(), \
+                err.getvalue()

@@ -42,20 +42,21 @@ class TestCompositions:
 
 class TestSValue:
     def test_single_part(self):
-        assert s_value(1, 1, [None, 3.0]) == 3.0
+        assert s_value(1, 1, [3.0]) == 3.0
 
     def test_square(self):
-        assert s_value(2, 2, [None, 3.0, 7.0]) == 9.0
+        assert s_value(2, 2, [3.0, 7.0]) == 9.0
 
     def test_cross_term(self):
         # S_{3,2} = 2 X1 X2
-        assert s_value(3, 2, [None, 2.0, 5.0, 0.0]) == 20.0
-
-    def test_zero_based_fallback(self):
         assert s_value(3, 2, [2.0, 5.0, 0.0]) == 20.0
 
+    def test_entries_past_m_are_not_read(self):
+        # S_{2,2} = X1^2 whatever follows X2 in the list
+        assert s_value(2, 2, [2.0, 5.0, 7.0]) == 4.0
+
     def test_degenerate(self):
-        assert s_value(2, 5, [None, 1.0, 1.0]) == 0.0
+        assert s_value(2, 5, [1.0, 1.0]) == 0.0
 
 
 def _s(m, i, vals):
@@ -74,7 +75,7 @@ class TestSplittingIdentities:
     @given(st.integers(4, 8), st.integers(2, 8),
            st.lists(st.floats(-2, 2, allow_nan=False), min_size=8, max_size=8))
     def test_both_splittings(self, m, i, xs):
-        vals = [None] + xs[:m]
+        vals = xs[:m]
         lhs3 = _s(m, i + 2, vals)
         rhs3 = sum(_s(l, 3, vals) * _s(m - l, i - 1, vals) for l in range(2, m))
         assert lhs3 == pytest.approx(rhs3, rel=1e-12, abs=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fluctx.equilibrium import (
     QuadratureSpec,
@@ -58,10 +59,13 @@ class TestPartitionFunction:
         half_doubled = 2.0 * np.sum((f * w)[x > 0])
         assert half_doubled == pytest.approx(full, rel=1e-12)
 
-    def test_self_convergence_under_refinement(self):
-        z1 = partition_function(0.05, QuadratureSpec.for_eps(0.05))
-        z2 = partition_function(0.05, QuadratureSpec.for_eps(0.05, refine=0.5))
-        assert abs(z1 - z2) / z1 < 1e-10
+    def test_matches_adaptive_quadrature(self):
+        # scipy's adaptive rule, told where the two peaks of width sqrt(eps) sit
+        for eps in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002):
+            reference, _ = quad(lambda x: np.exp(-((0.25 * x ** 4 - 0.5 * x ** 2) + 0.25) / eps),
+                                -6.0, 6.0, points=[-1.0, 1.0], epsabs=0.0, epsrel=1e-13,
+                                limit=200)
+            assert partition_function(eps) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestGibbsExpectation:
@@ -125,5 +129,5 @@ class TestResidualOrder:
 
     def test_leading_coefficient_fit(self):
         eps, residuals = expansion_residuals(X2, 2, [0.04, 0.025, 0.015, 0.01, 0.006], TABLE)
-        coeffs = residual_coefficient_fit(eps, residuals, 2, degree=3)
+        coeffs = residual_coefficient_fit(eps, residuals, 2)
         assert coeffs[0] == pytest.approx(-3.0, rel=0.1)

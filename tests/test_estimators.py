@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from fluctx import estimators
+from fluctx.cli import RULES
 from fluctx.estimators import (
     EstimationError,
     McEstimate,
@@ -36,6 +37,11 @@ def _cfg(order=2, eps=0.1, dt=2e-3, t_final=2.0, dim=1):
     return SimConfig(dim=dim, order=order, eps=eps, dt=dt, t_final=t_final)
 
 
+def agrees(est, reference):
+    """The "sigma" pass rule of result rows: within 3 batch-means stderr."""
+    return RULES["sigma"][1](est.value, est.stderr, reference, None)
+
+
 class TestBatchLayout:
     def test_sizes_sum_and_balance(self):
         sizes = batch_layout(1003)
@@ -51,8 +57,8 @@ class TestBatchLayout:
 class TestMcEstimate:
     def test_agreement_band(self):
         est = McEstimate(value=1.0, stderr=0.1, n_paths=100, n_batches=20)
-        assert est.agrees_with(1.25)
-        assert not est.agrees_with(1.5)
+        assert agrees(est, 1.25)
+        assert not agrees(est, 1.5)
 
 
 class TestEstimateA:
@@ -72,12 +78,12 @@ class TestEstimateA:
         est = mc_mean(lambda res: a_functional(0, X2, res, 100), cfg, ANNULUS, 40000, 2, [100])
         target, _ = quad(lambda r: float(flow_exact(np.array([r]), 1.0)[0]) ** 2,
                          0.5, 1.5)
-        assert est.agrees_with(target)
+        assert agrees(est, target)
 
     def test_odd_coefficient_vanishes(self):
         cfg = _cfg(order=1, dt=2e-3, t_final=1.0)
         est = mc_mean(lambda res: a_functional(1, X2, res, 500), cfg, POINT_LAW, 20000, 3, [500])
-        assert est.agrees_with(0.0)
+        assert agrees(est, 0.0)
 
     def test_batch_independence(self):
         # each batch is its own substream: simulated alone, in any order,
@@ -116,8 +122,8 @@ class TestStderrCalibration:
         target, _ = quad(lambda r: float(flow_exact(np.array([r]), 0.5)[0]) ** 2,
                          0.5, 1.5)
         hits = sum(
-            mc_mean(lambda res: a_functional(0, X2, res, 50), cfg, ANNULUS, 2000, 1000 + trial,
-                    [50]).agrees_with(target)
+            agrees(mc_mean(lambda res: a_functional(0, X2, res, 50), cfg, ANNULUS, 2000,
+                           1000 + trial, [50]), target)
             for trial in range(60)
         )
         assert hits >= 57
@@ -179,7 +185,7 @@ class TestConditionalS:
     def test_first_order_centered(self):
         cfg = _cfg(order=1, dt=2e-3, t_final=1.0)
         est = mc_multi({"S": conditional_s(1, 1, 500)}, cfg, POINT_LAW, 20000, 12, [500])["S"]
-        assert est.agrees_with(0.0)
+        assert agrees(est, 0.0)
 
     def test_s22_closed_form(self):
         cfg = _cfg(order=2, dt=2e-3, t_final=1.0)
