@@ -3,15 +3,17 @@
 Each subcommand names an experiment suite; a checked-in config under
 configs/ reproduces the corresponding desk-scale check.  An experiment is
 a function cfg -> (requests, checks): each request holds the arguments of
-one `mc_multi` call, and `checks` turns the estimates into result rows.
-Building the plan reads the whole config, so `--dry-run` rejects a bad
-config, or a batch that would keep more than MAX_BATCH_BYTES of slices,
-before any Monte Carlo.  Outputs are results.csv (one row per estimate or
-check), tables.csv (exact rational tables, when the experiment produces
-them) and manifest.json (config echo, versions, seed, wall time, seconds
-per request, each row's rule).  A row names one of the six RULES; its
-verdict follows from its own estimate, stderr and reference.  Exit code 0
-iff every row passes, 2 if any fails, 1 on runtime/config errors.
+one `mc_multi` call, which simulates what its quantities read, and
+`checks` turns the estimates into result rows.  Building the plan reads
+the whole config, so `--dry-run` rejects a bad config, an `output_dir` it
+cannot create, or a batch that would keep more than MAX_BATCH_BYTES of
+slices, before any Monte Carlo.  Outputs are results.csv (one row per
+estimate or check), tables.csv (exact rational tables, when the
+experiment produces them) and manifest.json (config echo, versions, seed,
+wall time, seconds per request, each row's rule).  A row names one of the
+six RULES; its verdict follows from its own estimate, stderr and
+reference.  Exit code 0 iff every row passes, 2 if any fails, 1 on
+runtime/config errors.
 
 results.csv is byte-identical across reruns of the same config; volatile
 quantities (wall times) go to manifest.json only.
@@ -41,19 +43,20 @@ from .equilibrium import (
     stationarity_defect,
 )
 from .estimators import (
-    a_functional,
+    Quantity,
     batch_bytes,
     conditional_s,
     fit_exponential_rate,
     fit_power_law,
     mc_multi,
-    noise_levels,
+    simulation,
     strong_remainder_sq,
+    weak_coefficient,
     weak_remainder,
 )
 # not called here: benchmark/tracer.py looks these names up in this module
 from .equilibrium import gibbs_expectation
-from .estimators import estimate_strong_remainder_sq, estimate_weak_remainder
+from .estimators import a_functional, estimate_strong_remainder_sq, estimate_weak_remainder
 from .hierarchy import InitialLaw, SimConfig
 from .observables import Observable, ParseError, parse_polynomial
 from .recursions import b_coeff, big_b_coeff, c_table, d_table
@@ -273,44 +276,44 @@ class Request:
     """One simulation: exactly the arguments of one `mc_multi` call."""
 
     label: str
-    sim: SimConfig
+    quantities: dict  # name -> Quantity
+    dim: int
+    dt: float
     law: InitialLaw
     n_paths: int
     seed: int
-    slice_steps: list
-    quantities: dict  # name -> values_fn(batch) or (values_fn, mask_fn)
 
     def __post_init__(self):
-        if self.law.point is not None and len(self.law.point) != self.sim.dim:
+        if self.law.point is not None and len(self.law.point) != self.dim:
             raise ConfigError(f"point has {len(self.law.point)} components, dim is "
-                              f"{self.sim.dim}", "/initial_law/point")
-        kept = batch_bytes(self.quantities, self.sim, self.n_paths, self.slice_steps)
+                              f"{self.dim}", "/initial_law/point")
+        kept = batch_bytes(self.quantities, self.dim, self.dt, self.n_paths)
         if kept > MAX_BATCH_BYTES:
             raise ConfigError(f"{self.label}: one batch would keep {kept:,} bytes of time slices,"
                               f" above {MAX_BATCH_BYTES:,}", "/n_paths")
 
     def __str__(self):
-        kept = batch_bytes(self.quantities, self.sim, self.n_paths, self.slice_steps)
-        return (f"{self.label}: {self.sim}, {self.law.kind} law, {self.n_paths} paths, "
-                f"seed {self.seed}, slice steps {self.slice_steps}, "
-                f"noise {noise_levels(self.quantities)}, {len(self.quantities)} quantities, "
-                f"{kept:,} bytes of slices a batch")
+        sim, steps, noise = simulation(self.quantities, self.dim, self.dt)
+        kept = batch_bytes(self.quantities, self.dim, self.dt, self.n_paths)
+        return (f"{self.label}: {sim}, {self.law.kind} law, {self.n_paths} paths, "
+                f"seed {self.seed}, slice steps {steps}, noise {noise}, "
+                f"{len(self.quantities)} quantities, {kept:,} bytes of slices a batch")
 
 
-def _simulation(cfg: ExperimentConfig, order: int):
-    """SimConfig up to the last grid time, and the grid step of each grid time."""
+def _grid_steps(cfg: ExperimentConfig) -> dict:
+    """The grid step of each grid time."""
     t_final = max(cfg.time_grid)
     try:
-        sim = SimConfig(dim=cfg.dim, order=order, dt=cfg.dt, t_final=t_final)
-    except ValueError as exc:  # parse_config checked dim, order, dt: t_final < dt
+        grid = SimConfig(dim=cfg.dim, order=0, dt=cfg.dt, t_final=t_final)
+    except ValueError as exc:  # parse_config checked dim and dt: t_final < dt
         raise ConfigError(str(exc), f"/time_grid/{cfg.time_grid.index(t_final)}") from exc
     steps = {}
     for i, t in enumerate(cfg.time_grid):
         try:
-            steps[t] = sim.grid_index(t)
+            steps[t] = grid.grid_index(t)
         except ValueError as exc:
             raise ConfigError(str(exc), f"/time_grid/{i}") from exc
-    return sim, steps
+    return steps
 
 
 def _fit_eps(cfg: ExperimentConfig) -> list:
@@ -388,12 +391,12 @@ def _equilibrium_check(cfg):
 def _strong_rates(cfg):
     law, eps_list = cfg.law(), _fit_eps(cfg)
     t = max(cfg.time_grid)
-    sim, steps = _simulation(cfg, cfg.order)
+    step = _grid_steps(cfg)[t]
     qs = {}
     for eps in eps_list:
-        for m, q in strong_remainder_sq(eps, cfg.order, steps[t]).items():
+        for m, q in strong_remainder_sq(eps, cfg.order, step).items():
             qs[eps, m] = q
-    w = Request("w", sim, law, cfg.n_paths, cfg.seed, [steps[t]], qs)
+    w = Request("w", qs, cfg.dim, cfg.dt, law, cfg.n_paths, cfg.seed)
 
     def checks(est):
         rows, per_m = [], [[] for _ in range(cfg.order + 1)]
@@ -417,24 +420,22 @@ def _weak_rates(cfg):
         raise ConfigError("weak_rates fits |v| over eps, which a constant observable makes 0",
                           "/observable")
     t, m = max(cfg.time_grid), cfg.order
-    sim, steps = _simulation(cfg, m)
-    step = steps[t]
-    vm = Request(f"v_{m}", sim, law, cfg.n_paths, cfg.seed, [step],
-                 {eps: weak_remainder(m, F, eps, step) for eps in eps_list})
+    step = _grid_steps(cfg)[t]
+    vm = Request(f"v_{m}", {eps: weak_remainder(m, F, eps, m, step) for eps in eps_list},
+                 cfg.dim, cfg.dt, law, cfg.n_paths, cfg.seed)
 
     # re-expansion consistency: v_0 against sqrt(eps) a_1 + eps a_2, at the
     # last eps listed in the grid.  The discrepancy is a deterministic
     # O(eps^{3/2}) quantity, so the Monte Carlo resolution (path count) sets
     # the band width; this check runs at a fifth of the configured paths.
+    # X_eps starts from xi_eps truncated at `order`, as v_order's does.
     eps_c = cfg.eps_grid[-1]
     n_small = max(cfg.n_paths // 5, 1000)
-    v0 = Request(f"v_0(eps={eps_c:g}) re-expansion", sim, law, n_small, cfg.seed + 1, [step],
-                 {"v": weak_remainder(0, F, eps_c, step)})
-    # a_2 reads Xbar_2, so the chain goes up to order 2 whatever `order` is
-    coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion", _simulation(cfg, max(m, 2))[0],
-                     law, n_small, cfg.seed + 2, [step],
-                     {"a1": lambda res: a_functional(1, F, res, step),
-                      "a2": lambda res: a_functional(2, F, res, step)})
+    v0 = Request(f"v_0(eps={eps_c:g}) re-expansion", {"v": weak_remainder(0, F, eps_c, m, step)},
+                 cfg.dim, cfg.dt, law, n_small, cfg.seed + 1)
+    coeffs = Request(f"a_1,a_2(eps={eps_c:g}) re-expansion",
+                     {"a1": weak_coefficient(1, F, step), "a2": weak_coefficient(2, F, step)},
+                     cfg.dim, cfg.dt, law, n_small, cfg.seed + 2)
 
     def checks(est):
         rows, vals = [], []
@@ -470,16 +471,14 @@ def _longtime_scalar(cfg):
     if len(window) < 4:
         raise ConfigError("the S_22 rate fit needs at least 4 grid times up to 4",
                           "/time_grid")
+    steps = _grid_steps(cfg)
     # phase 1: conditional composition sum S_22 along the time grid
-    sim, steps = _simulation(cfg, 2)
-    s22 = Request("S22", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times],
-                  {f"s22_{t:g}": conditional_s(2, 2, steps[t]) for t in times})
+    s22 = Request("S22", {f"s22_{t:g}": conditional_s(2, 2, steps[t]) for t in times},
+                  cfg.dim, cfg.dt, law, cfg.n_paths, cfg.seed)
     # phase 2: weak coefficients a_1..a_3 on an independent, smaller run
-    sim3, steps3 = _simulation(cfg, max(cfg.order, 3))
-    coeffs = Request("a_1..a_3", sim3, law, max(cfg.n_paths // 4, 1000), cfg.seed + 1,
-                     [steps3[t] for t in times],
-                     {f"a{m}_{t:g}": (lambda res, m=m, s=steps3[t]: a_functional(m, F, res, s))
-                      for m in (1, 2, 3) for t in times})
+    coeffs = Request("a_1..a_3", {f"a{m}_{t:g}": weak_coefficient(m, F, steps[t])
+                                  for m in (1, 2, 3) for t in times},
+                     cfg.dim, cfg.dt, law, max(cfg.n_paths // 4, 1000), cfg.seed + 1)
     # P(xi_0 > 0): the symmetric kinds put half their mass on each sign
     p_plus = 1.0 if law.kind == "deterministic_point" else 0.5
 
@@ -532,14 +531,15 @@ def _vector_divergence(cfg):
     fit_ts = [t for t in times if t >= 2.0]
     if len(fit_ts) < 2:
         raise ConfigError("the a2 slope fit needs at least 2 grid times >= 2", "/time_grid")
-    sim, steps = _simulation(cfg, max(cfg.order, 2))
+    steps = _grid_steps(cfg)
     qs = {}
     for t in times:
         s = steps[t]
-        qs[f"a2_{t:g}"] = (lambda res, s=s: a_functional(2, F, res, s))
-        qs[f"r1sq_{t:g}"] = (lambda res, s=s: res.xbar_at(s, 1)[:, 0] ** 2)
-        qs[f"v1sq_{t:g}"] = (lambda res, s=s: np.sum(res.xbar_at(s, 1)[:, 1:] ** 2, axis=1))
-    chain = Request("chain", sim, law, cfg.n_paths, cfg.seed, [steps[t] for t in times], qs)
+        qs[f"a2_{t:g}"] = weak_coefficient(2, F, s)
+        qs[f"r1sq_{t:g}"] = Quantity(lambda res, s=s: res.xbar_at(s, 1)[:, 0] ** 2, 1, (s,))
+        qs[f"v1sq_{t:g}"] = Quantity(lambda res, s=s: np.sum(res.xbar_at(s, 1)[:, 1:] ** 2,
+                                                             axis=1), 1, (s,))
+    chain = Request("chain", qs, cfg.dim, cfg.dt, law, cfg.n_paths, cfg.seed)
 
     def closed_a2(t):
         e2, e4 = np.exp(-2 * t), np.exp(-4 * t)
@@ -581,23 +581,26 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False, stream=None) ->
     """Plan one experiment, then print the plan or run it; returns the exit code."""
     stream = stream or sys.stdout
     t0 = time.perf_counter()
+    out_dir = Path(cfg.output_dir)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{str(nearest)!r} is not a directory", "/output_dir")
     requests, checks = EXPERIMENTS[cfg.experiment](cfg)
     if dry_run:
         print(f"dry run: {cfg.experiment}, {len(requests)} simulation request(s)", file=stream)
         for req in requests:
             print(f"  - {req}", file=stream)
         return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
     estimates, runtimes = {}, {}
     for req in requests:
         t1 = time.perf_counter()
-        estimates[req.label] = mc_multi(req.quantities, req.sim, req.law, req.n_paths, req.seed,
-                                        req.slice_steps)
+        estimates[req.label] = mc_multi(req.quantities, req.dim, req.dt, req.law, req.n_paths,
+                                        req.seed)
         runtimes[req.label] = time.perf_counter() - t1
     t1 = time.perf_counter()
     rows, tables = checks(estimates)
     runtimes["checks"] = time.perf_counter() - t1
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_results(cfg.experiment, rows, out_dir)
     if tables:
         _write_tables(tables, out_dir)
@@ -620,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", required=True, help="path to a JSON config")
-        # the benchmark's round scripts still pass --workers (ROADMAP item 1)
+        # benchmark/round.py and benchmark/reference.py pass --workers
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored (must be >= 1): batches run on one thread")
         p.add_argument("--dry-run", action="store_true",

@@ -16,9 +16,6 @@ from typing import Sequence
 MAX_ORDER = 12
 
 
-Composition = tuple  # tuple of positive ints
-
-
 @lru_cache(maxsize=None)
 def compositions(m: int, i: int) -> tuple:
     """All ordered i-tuples of positive integers summing to m, lexicographic.

@@ -1,21 +1,19 @@
 """Monte Carlo estimators for the expansion coefficients and rate fitting.
 
-`mc_multi` is the one engine: every estimator is a set of named per-path
-quantities over a single simulation.  Paths are partitioned into
-N_BATCHES batches, run one after another on the calling thread; batch b
-draws from a counter-based substream keyed by (seed, b), so each batch is
-reproducible on its own, and the reduction runs over batches in index
-order.  Standard errors come from batch means over that fixed batch count
-(Flegal & Jones, Ann. Statist. 2010).  One simulation steps the chain
-once, plus one noisy trajectory per noise level its quantities read: a
-quantity names the level it reads (`reads_noise`), and only that
-trajectory's aborts, besides the chain's, leave its mean.
+`mc_multi` is the one engine: every estimator is a set of named
+`Quantity`s, each declaring the chain orders, grid steps and noise level
+it reads, and `simulation` derives the one simulation they are read off.
+Paths are partitioned into N_BATCHES batches, run one after another on
+the calling thread; batch b draws from a counter-based substream keyed by
+(seed, b), so each batch is reproducible on its own, and the reduction
+runs over batches in index order.  Standard errors come from batch means
+over that fixed batch count (Flegal & Jones, Ann. Statist. 2010).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,54 +73,65 @@ def _combine(slots, name) -> McEstimate:
                       n_batches=n_b, n_aborted=aborted)
 
 
-def reads_noise(eps: float, values_fn):
-    """Mark a values_fn as reading the noisy trajectory at noise level eps."""
-    values_fn.eps = eps
-    return values_fn
+@dataclass(frozen=True)
+class Quantity:
+    """A per-path `values(batch)` that reads chain orders 0..`order` at grid `steps`.
+
+    `mask(batch)`, if set, keeps only the paths it marks.  A quantity that
+    reads X_eps names its `eps` and the `truncation` order of its xi_eps.
+    """
+
+    values: Callable
+    order: int
+    steps: tuple
+    mask: Optional[Callable] = None
+    eps: Optional[float] = None
+    truncation: Optional[int] = None
 
 
-def _specs(quantities) -> list:
-    """(values_fn, mask_fn, noise level read or None) of each quantity, in order."""
-    pairs = [q if isinstance(q, tuple) else (q, None) for q in quantities.values()]
-    return [(values_fn, mask_fn, getattr(values_fn, "eps", None)) for values_fn, mask_fn in pairs]
+def simulation(quantities, dim: int, dt: float):
+    """(SimConfig, slice steps, noise levels) of the one simulation `quantities` read.
+
+    The chain runs to the last step read and to the highest order read, or
+    to the truncation order of the X_eps read: every X_eps starts from all
+    the xi_k the chain draws, so a lower truncation order is rejected.  The
+    noise levels come in the order first read.
+    """
+    qs = list(quantities.values())
+    noisy = [q for q in qs if q.eps is not None]
+    order = max([q.order for q in qs] + [q.truncation for q in noisy])
+    if any(q.truncation != order for q in noisy):
+        raise ValueError(f"an X_eps is truncated below the chain order {order}")
+    steps = sorted({s for q in qs for s in q.steps})
+    noise = tuple(dict.fromkeys(q.eps for q in noisy))
+    return SimConfig(dim=dim, order=order, dt=dt, t_final=steps[-1] * dt), steps, noise
 
 
-def noise_levels(quantities) -> tuple:
-    """The noise levels the quantities read (`reads_noise`), in the order first read."""
-    return tuple(dict.fromkeys(eps for _, _, eps in _specs(quantities) if eps is not None))
-
-
-def batch_bytes(quantities, cfg: SimConfig, n_paths: int, slice_steps: Sequence[int]) -> int:
+def batch_bytes(quantities, dim: int, dt: float, n_paths: int) -> int:
     """Bytes the largest batch keeps: per slice, Xbar_0..Xbar_order and X_eps per level."""
-    arrays = cfg.order + 1 + len(noise_levels(quantities))
-    return len(set(slice_steps)) * arrays * cfg.dim * max(batch_layout(n_paths)) * 8
+    sim, steps, noise = simulation(quantities, dim, dt)
+    return len(steps) * (sim.order + 1 + len(noise)) * dim * max(batch_layout(n_paths)) * 8
 
 
-def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-             slice_steps: Sequence[int]) -> dict:
-    """Batched MC means of several per-path functionals from one simulation.
+def mc_multi(quantities, dim: int, dt: float, law: InitialLaw, n_paths: int, seed: int) -> dict:
+    """Batched MC means of named `Quantity`s read off one `simulation`.
 
-    `quantities` maps name -> values_fn(batch_result) or
-    (values_fn, mask_fn).  The simulation steps the chain once, plus one
-    noisy trajectory per level in `noise_levels(quantities)`: a values_fn
-    marked by `reads_noise(eps, ...)` reads the eps trajectory.  Paths
-    aborted in the chain, or in the trajectory a quantity reads, are
+    Paths aborted in the chain, or in the trajectory a quantity reads, are
     excluded from that quantity's mean and counted against it (the run
     errors out at the first batch where more than 0.1% of its paths have
     aborted, naming the first abort); masked-out paths are excluded from
-    that quantity's mean (used for sign-conditioning by rejection).
+    that quantity's mean.
     """
     sizes = batch_layout(n_paths)
-    specs, noise = _specs(quantities), noise_levels(quantities)
+    sim, steps, noise = simulation(quantities, dim, dt)
 
     slots = []  # per batch, one (sum, count, aborted) triple per quantity
     # aborts so far per trajectory read (they only grow, so the budget can be
     # checked batch by batch), and the (batch, step, component) of the first
-    aborted, first = dict.fromkeys((spec[2] for spec in specs), 0), None
+    aborted, first = dict.fromkeys((q.eps for q in quantities.values()), 0), None
     for b, size in enumerate(sizes):
-        # with_xfull repeats what noise says: benchmark/tracer.py keys each
-        # traced call's shape by that keyword (ROADMAP item 4(a) drops it)
-        res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, noise=noise,
+        # with_xfull repeats noise: benchmark/tracer.py keys each call's shape by it
+        res = simulate_batch(sim, law, size, path_rng(seed, b), steps, noise=noise,
                              with_xfull=bool(noise))
         if first is None and res.first_abort is not None:
             first = (b, *res.first_abort)
@@ -133,22 +142,22 @@ def mc_multi(quantities, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: in
                     f"{aborted[eps]} of {n_paths} paths aborted by batch {b} of {len(sizes)}"
                     f" (the first in batch {first[0]}, step {first[1]}, {first[2]})")
         out = []
-        for values_fn, mask_fn, eps in specs:
-            vals = np.asarray(values_fn(res), dtype=float)
-            lost = res.lost[eps]
+        for q in quantities.values():
+            vals = np.asarray(q.values(res), dtype=float)
+            lost = res.lost[q.eps]
             keep = ~lost
-            if mask_fn is not None:
-                keep = keep & np.asarray(mask_fn(res), dtype=bool)
+            if q.mask is not None:
+                keep = keep & np.asarray(q.mask(res), dtype=bool)
             out.append((float(np.add.reduce(vals[keep])), int(keep.sum()), int(lost.sum())))
         slots.append(out)
     return {name: _combine([s[idx] for s in slots], name)
             for idx, name in enumerate(quantities)}
 
 
-def mc_mean(values_fn, cfg: SimConfig, law: InitialLaw, n_paths: int, seed: int,
-            slice_steps: Sequence[int]) -> McEstimate:
-    """Batched MC mean of one per-path functional `values_fn(batch_result)`."""
-    return mc_multi({"mean": values_fn}, cfg, law, n_paths, seed, slice_steps)["mean"]
+# benchmark/tracer.py wraps this name
+def mc_mean(quantity, dim, dt, law, n_paths, seed) -> McEstimate:
+    """Batched MC mean of one `Quantity`."""
+    return mc_multi({"mean": quantity}, dim, dt, law, n_paths, seed)["mean"]
 
 
 def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
@@ -167,8 +176,17 @@ def a_functional(m: int, F: Observable, res, step: int) -> np.ndarray:
     return out
 
 
-def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
-    """(values_fn, mask_fn) of S_{m,i} at a grid step given sign(xi_0) (d = 1)."""
+def weak_coefficient(m: int, F: Observable, step: int) -> Quantity:
+    """The m-th weak coefficient's integrand `a_functional` at a grid step; reads up to m."""
+    return Quantity(lambda res: a_functional(m, F, res, step), m, (step,))
+
+
+def conditional_s(m: int, i: int, step: int, sign: str = "+") -> Quantity:
+    """S_{m,i} at a grid step given sign(xi_0) (d = 1), by rejection on that sign.
+
+    S_{m,i} multiplies only Xbar_1..Xbar_{m-i+1}, but it reads up to m: the
+    traced benchmark times the S_22 request at chain order 2 only.
+    """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
 
@@ -178,11 +196,11 @@ def conditional_s(m: int, i: int, step: int, sign: str = "+") -> tuple:
     def wanted(res):
         return res.xi0[:, 0] > 0 if sign == "+" else res.xi0[:, 0] < 0
 
-    return values, wanted
+    return Quantity(values, m, (step,), mask=wanted)
 
 
-def weak_remainder(m: int, F: Observable, eps: float, step: int):
-    """Per-path scaled weak remainder v_m^eps at a grid step (reads X_eps at eps).
+def weak_remainder(m: int, F: Observable, eps: float, order: int, step: int) -> Quantity:
+    """Per-path scaled weak remainder v_m^eps at a grid step, xi_eps truncated at `order`.
 
     v_m = (E F(X_eps) - sum_{k<=m} eps^{k/2} a_k) / eps^{m/2}, estimated
     pathwise on coupled noise: the same increments drive X_eps and every
@@ -196,13 +214,13 @@ def weak_remainder(m: int, F: Observable, eps: float, step: int):
             out = out - eps ** (k / 2.0) * a_functional(k, F, res, step)
         return out / scale
 
-    return reads_noise(eps, values)
+    return Quantity(values, m, (step,), eps=eps, truncation=order)
 
 
 def strong_remainder_sq(eps: float, order: int, step: int) -> dict:
     """Per-path |w_{eps,m}|^2 at a grid step for m = 0..order, keyed by m.
 
-    Each reads the noisy trajectory at eps.
+    Each reads X_eps with xi_eps truncated at `order`, and the chain up to m.
     """
 
     def w_sq(m):
@@ -212,29 +230,24 @@ def strong_remainder_sq(eps: float, order: int, step: int) -> dict:
                 acc -= eps ** (k / 2.0) * res.xbar_at(step, k)
             acc /= eps ** (m / 2.0)
             return np.sum(acc * acc, axis=1)
-        return reads_noise(eps, values)
+        return Quantity(values, m, (step,), eps=eps, truncation=order)
 
     return {m: w_sq(m) for m in range(order + 1)}
 
 
+# benchmark/tracer.py wraps the two estimate_* names where cli imports them
 def estimate_weak_remainder(m: int, t: float, F: Observable, cfg: SimConfig, law: InitialLaw,
                             n_paths: int, seed: int) -> McEstimate:
-    """MC estimate of the scaled weak remainder v_m^eps at grid time t and eps = cfg.eps."""
-    if not 0 <= m <= cfg.order:
-        raise ValueError(f"m must be in [0, {cfg.order}]")
-    step = cfg.grid_index(t)
-    return mc_mean(weak_remainder(m, F, cfg.eps, step), cfg, law, n_paths, seed, [step])
+    """MC estimate of v_m^eps at grid time t, eps = cfg.eps, xi_eps truncated at cfg.order."""
+    return mc_mean(weak_remainder(m, F, cfg.eps, cfg.order, cfg.grid_index(t)), cfg.dim,
+                   cfg.dt, law, n_paths, seed)
 
 
 def estimate_strong_remainder_sq(t: float, cfg: SimConfig, law: InitialLaw, n_paths: int,
                                  seed: int) -> List[McEstimate]:
-    """MC estimates of E |w_{eps,m}(t)|^2 at grid time t and eps = cfg.eps, m = 0..cfg.order.
-
-    Every order is read off the same simulated paths.
-    """
-    step = cfg.grid_index(t)
-    return list(mc_multi(strong_remainder_sq(cfg.eps, cfg.order, step), cfg, law, n_paths, seed,
-                         [step]).values())
+    """MC estimates of E |w_{eps,m}(t)|^2 at grid time t and eps = cfg.eps, m = 0..cfg.order."""
+    return list(mc_multi(strong_remainder_sq(cfg.eps, cfg.order, cfg.grid_index(t)), cfg.dim,
+                         cfg.dt, law, n_paths, seed).values())
 
 
 def fit_power_law(xs, ys) -> float:

@@ -52,17 +52,13 @@ DRAW_RING = 3  # blocks of increments the helper may have drawn and not yet hand
 
 @dataclass(frozen=True)
 class SimConfig:
-    """The simulation grid and chain order.
-
-    The chain never reads `eps`; only the `with_xfull` alias of
-    `simulate_batch` (the one level it steps) and the `estimate_*` wrappers do.
-    """
+    """The simulation grid and chain order."""
 
     dim: int
     order: int
     dt: float
     t_final: float
-    eps: Optional[float] = None
+    eps: Optional[float] = None  # benchmark/kernel.py steps it through with_xfull=True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -79,10 +75,6 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
 
     def grid_index(self, t: float) -> int:
         """Index of a grid time; rejects off-grid t (no interpolation, ever)."""
@@ -130,17 +122,14 @@ class InitialLaw:
 
     def sample(self, rng: np.random.Generator, n: int, dim: int, order: int):
         """Draw (xi0, [xi1, ..., xi_order]) for n paths; arrays (n, dim)."""
-        if self.kind == "deterministic_point":
+        if self.kind != "uniform_annulus":
             point = np.asarray(self.point, dtype=float)
             if point.shape != (dim,):
                 raise ValueError("point does not match dim")
-            xi0 = np.tile(point, (n, 1))
-        elif self.kind == "symmetric_two_point":
-            point = np.asarray(self.point, dtype=float)
-            if point.shape != (dim,):
-                raise ValueError("point does not match dim")
-            signs = rng.choice([-1.0, 1.0], size=(n, 1))
-            xi0 = signs * point
+            if self.kind == "deterministic_point":
+                xi0 = np.tile(point, (n, 1))
+            else:
+                xi0 = rng.choice([-1.0, 1.0], size=(n, 1)) * point
         else:  # uniform_annulus
             radii = rng.uniform(self.r_min, self.r_max, size=(n, 1))
             if dim == 1:
@@ -261,7 +250,7 @@ class BatchResult:
         self.lost = lost
         self.first_abort = first_abort          # (step, component) or None
 
-    @property
+    @property  # benchmark/tracer.py counts aborted paths by it
     def aborted(self) -> np.ndarray:
         """Paths aborted anywhere: in the chain or in any noisy trajectory."""
         return np.logical_or.reduce(list(self.lost.values()))
@@ -290,11 +279,8 @@ def simulate_batch(
     increments each step.  Paths that turn non-finite are frozen to NaN
     and flagged per trajectory (see `BatchResult.lost`); the first
     failure's (step, component) is kept for diagnostics.
-
-    `with_xfull` is read only when `noise` is None: True stands for
-    noise=(cfg.eps,), False for noise=().  It is the spelling
-    benchmark/kernel.py uses and goes away with ROADMAP item 4(a).
     """
+    # benchmark/kernel.py spells noise=(cfg.eps,) as with_xfull=True, noise=() as False
     if noise is None:
         noise = (cfg.eps,) if with_xfull else ()
     noise = tuple(noise)

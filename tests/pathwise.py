@@ -86,7 +86,7 @@ def simulate_path(cfg: SimConfig, law: InitialLaw, rng, zero_noise: bool = False
     dW = np.sqrt(cfg.dt) * replay.standard_normal((K, 1, cfg.dim))[:, 0]
     xfull = np.stack([res.xfull[cfg.eps][s][0] for s in range(K + 1)])
     xbar = [np.stack([res.xbar_at(s, k)[0] for s in range(K + 1)]) for k in range(cfg.order + 1)]
-    return FluctuationPath(times=cfg.times, eps=cfg.eps, xfull=xfull, xbar=xbar,
+    return FluctuationPath(times=np.arange(K + 1) * cfg.dt, eps=cfg.eps, xfull=xfull, xbar=xbar,
                            brownian_increments=dW, xi0=res.xi0[0], config=cfg)
 
 
@@ -124,12 +124,11 @@ def s_path(path: FluctuationPath, m: int, i: int) -> np.ndarray:
     return combinatorics.s_value(m, i, [path.xbar[k][:, 0] for k in range(1, m + 1)])
 
 
-def batch_slot(values_fn, cfg: SimConfig, law: InitialLaw, size: int, seed: int, b: int,
-               slice_steps, noise):
+def batch_slot(quantity, cfg: SimConfig, law: InitialLaw, size: int, seed: int, b: int, noise):
     """(sum, count, aborted) of batch b of an mc_multi run, simulated on its own."""
-    res = simulate_batch(cfg, law, size, path_rng(seed, b), slice_steps, noise=noise)
-    lost = res.lost[getattr(values_fn, "eps", None)]
-    vals = np.asarray(values_fn(res), dtype=float)
+    res = simulate_batch(cfg, law, size, path_rng(seed, b), quantity.steps, noise=noise)
+    lost = res.lost[quantity.eps]
+    vals = np.asarray(quantity.values(res), dtype=float)
     return (float(np.add.reduce(vals[~lost])), int((~lost).sum()), int(lost.sum()))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from fluctx.cli import parse_config, run_experiment
 from fluctx.combinatorics import s_value
 from fluctx.equilibrium import stationarity_defect
-from fluctx.estimators import a_functional, batch_layout
+from fluctx.estimators import batch_layout, weak_coefficient
 from fluctx.hierarchy import InitialLaw, SimConfig
 from fluctx.observables import Observable, parse_polynomial
 
@@ -173,15 +173,11 @@ def test_criterion_8_property_suites(capsys):
     cfg = SimConfig(dim=1, order=2, eps=0.1, dt=5e-3, t_final=0.5)
     law = InitialLaw(kind="symmetric_two_point", point=(1.0,), higher_std=(1.0,))
     X2 = parse_polynomial("x1^2", 1)
-    step = cfg.grid_index(0.5)
-
-    def a2(res):
-        return a_functional(2, X2, res, step)
-
-    _, slots = mc_multi_slots({"a2": a2}, cfg, law, 2000, 5, [step])
+    a2 = weak_coefficient(2, X2, cfg.grid_index(0.5))
+    _, slots = mc_multi_slots({"a2": a2}, 1, cfg.dt, law, 2000, 5)
     sizes = batch_layout(2000)
     checks["batch_independence"] = all(
-        batch_slot(a2, cfg, law, sizes[b], 5, b, [step], ()) == slots["a2"][b]
+        batch_slot(a2, cfg, law, sizes[b], 5, b, ()) == slots["a2"][b]
         for b in (39, 20, 0))
 
     ok = all(checks.values())

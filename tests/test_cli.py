@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctx import cli
+from fluctx import cli, estimators
 from fluctx.combinatorics import MAX_ORDER
 from fluctx.cli import (
     ConfigError,
@@ -160,6 +160,8 @@ LATE_FAILURES = [
     # the first batch would keep 1 000 x 3 x 3 x 25 000 doubles of time slices
     (dict(VECTOR, dim=3, initial_law={"kind": "deterministic_point", "point": [1.0, 0.0, 0.0]},
           time_grid=[k / 100 for k in range(1, 1001)], n_paths=1_000_000), "/n_paths"),
+    # an output_dir under a regular file failed only when written, after the Monte Carlo
+    (dict(STRONG, output_dir=str(Path(__file__).resolve() / "out")), "/output_dir"),
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
@@ -208,13 +210,75 @@ class TestDryRun:
     @pytest.mark.parametrize("fields, pointer", LATE_FAILURES)
     def test_late_failures_rejected_up_front(self, fields, pointer, tmp_path, capsys):
         out = tmp_path / "out"
-        path = write_config(tmp_path, **dict(fields, output_dir=str(out)))
+        path = write_config(tmp_path, **{"output_dir": str(out), **fields})
         assert main([fields["experiment"], "--config", str(path), "--dry-run"]) == 1
         assert capsys.readouterr().err.rstrip().endswith(f"(at {pointer})")
         assert not out.exists()
 
 
+# chain order and noise levels of each request, in plan order; every request
+# slices the whole time grid and ends at its last time
+DERIVED = [
+    ("longtime_scalar", {}, {"S22": (2, ()), "a_1..a_3": (3, ())}),
+    ("strong_rates", {}, {"w": (2, (0.05, 0.02, 0.01, 0.005))}),
+    ("vector_divergence_d2", {}, {"chain": (2, ())}),
+    ("vector_divergence_d3", {}, {"chain": (2, ())}),
+    ("weak_rates", {}, {"v_2": (2, (0.4, 0.2, 0.1, 0.05)),
+                        "v_0(eps=0.1) re-expansion": (2, (0.1,)),
+                        "a_1,a_2(eps=0.1) re-expansion": (2, ())}),
+    # orders no quantity reads are no longer simulated
+    ("weak_rates", {"order": 3}, {"v_3": (3, (0.4, 0.2, 0.1, 0.05)),
+                                  "v_0(eps=0.1) re-expansion": (3, (0.1,)),
+                                  "a_1,a_2(eps=0.1) re-expansion": (2, ())}),
+    ("longtime_scalar", {"order": 4}, {"S22": (2, ()), "a_1..a_3": (3, ())}),
+]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, fields, expected", DERIVED)
+def test_each_request_simulates_what_its_quantities_read(name, fields, expected, tmp_path,
+                                                         capsys, monkeypatch):
+    doc = dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()), **fields)
+    cfg = parse_config(write_config(tmp_path, **doc))
+    steps = sorted(round(t / cfg.dt) for t in cfg.time_grid)
+    calls = []
+
+    def spy(sim, law, n_paths, rng, slice_steps, noise=None, with_xfull=True):
+        calls.append((sim.order, sim.n_steps, list(slice_steps), noise, with_xfull))
+        raise _Stop
+
+    monkeypatch.setattr(estimators, "simulate_batch", spy)
+    requests, _ = cli.EXPERIMENTS[cfg.experiment](cfg)
+    assert [req.label for req in requests] == list(expected)
+    for req in requests:
+        with pytest.raises(_Stop):
+            cli.mc_multi(req.quantities, req.dim, req.dt, req.law, req.n_paths, req.seed)
+    assert calls == [(order, steps[-1], steps, noise, bool(noise))
+                     for order, noise in expected.values()]
+    # --dry-run prints the derivation the run makes
+    assert run_experiment(cfg, dry_run=True) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    for line, (order, noise) in zip(lines, expected.values(), strict=True):
+        assert f"order={order}," in line
+        assert f"slice steps {steps}, noise {noise}," in line
+
+
 class TestRunExperiment:
+    def test_output_dir_made_before_the_monte_carlo(self, tmp_path, monkeypatch):
+        out = tmp_path / "deep" / "out"
+
+        def first_request(*args):
+            assert out.is_dir()
+            raise _Stop
+
+        monkeypatch.setattr(cli, "mc_multi", first_request)
+        cfg = parse_config(write_config(tmp_path, **dict(STRONG, output_dir=str(out))))
+        with pytest.raises(_Stop):
+            run_experiment(cfg)
+
     def test_recursion_tables_outputs(self, tmp_path):
         out = tmp_path / "out"
         cfg = parse_config(write_config(tmp_path, order=8, output_dir=str(out)))

@@ -7,18 +7,16 @@ from fluctx.cli import RULES
 from fluctx.estimators import (
     EstimationError,
     McEstimate,
-    a_functional,
+    Quantity,
     batch_layout,
     conditional_s,
-    estimate_strong_remainder_sq,
-    estimate_weak_remainder,
     fit_exponential_rate,
     fit_power_law,
-    mc_mean,
     mc_multi,
     N_BATCHES,
-    noise_levels,
+    simulation,
     strong_remainder_sq,
+    weak_coefficient,
     weak_remainder,
 )
 from fluctx.hierarchy import InitialLaw, SimConfig
@@ -35,6 +33,11 @@ ANNULUS = InitialLaw(kind="uniform_annulus", r_min=0.5, r_max=1.5, higher_std=(1
 
 def _cfg(order=2, eps=0.1, dt=2e-3, t_final=2.0, dim=1):
     return SimConfig(dim=dim, order=order, eps=eps, dt=dt, t_final=t_final)
+
+
+def mean(quantity, dt, law, n_paths, seed):
+    """The mc_multi estimate of one quantity, at d = 1."""
+    return mc_multi({"q": quantity}, 1, dt, law, n_paths, seed)["q"]
 
 
 def agrees(est, reference):
@@ -65,24 +68,21 @@ class TestEstimateA:
     def test_frozen_leading_order_is_exact(self):
         # deterministic xi_0 = 1 sits at the fixed point: a_0(t, x^2) = 1
         # with zero variance
-        cfg = _cfg(order=0, t_final=0.5)
         law = InitialLaw(kind="deterministic_point", point=(1.0,))
-        est = mc_mean(lambda res: a_functional(0, X2, res, 250), cfg, law, 2000, 1, [250])
+        est = mean(weak_coefficient(0, X2, 250), 2e-3, law, 2000, 1)
         assert est.value == 1.0
         assert est.stderr == 0.0
 
     def test_a0_matches_direct_flow_quadrature(self):
         # a_0(t, x^2) for the annulus law is the radial average of the
         # squared exact flow
-        cfg = _cfg(order=0, dt=1e-2, t_final=1.0)
-        est = mc_mean(lambda res: a_functional(0, X2, res, 100), cfg, ANNULUS, 40000, 2, [100])
+        est = mean(weak_coefficient(0, X2, 100), 1e-2, ANNULUS, 40000, 2)
         target, _ = quad(lambda r: float(flow_exact(np.array([r]), 1.0)[0]) ** 2,
                          0.5, 1.5)
         assert agrees(est, target)
 
     def test_odd_coefficient_vanishes(self):
-        cfg = _cfg(order=1, dt=2e-3, t_final=1.0)
-        est = mc_mean(lambda res: a_functional(1, X2, res, 500), cfg, POINT_LAW, 20000, 3, [500])
+        est = mean(weak_coefficient(1, X2, 500), 2e-3, POINT_LAW, 20000, 3)
         assert agrees(est, 0.0)
 
     def test_batch_independence(self):
@@ -90,22 +90,19 @@ class TestEstimateA:
         # batch b reproduces its (sum, count, aborted) slot of the full run
         cfg = _cfg(order=2, dt=5e-3, t_final=1.0)
         step = cfg.grid_index(1.0)
-        quantities = {"a2": lambda res: a_functional(2, X2, res, step),
+        quantities = {"a2": weak_coefficient(2, X2, step),
                       "w1": strong_remainder_sq(cfg.eps, cfg.order, step)[1]}
-        est, slots = mc_multi_slots(quantities, cfg, ANNULUS, 4000, 4, [step])
-        assert est["a2"] == mc_mean(quantities["a2"], cfg, ANNULUS, 4000, 4, [step])
+        est, slots = mc_multi_slots(quantities, 1, cfg.dt, ANNULUS, 4000, 4)
+        assert est["a2"] == mean(quantities["a2"], cfg.dt, ANNULUS, 4000, 4)
         sizes = batch_layout(4000)
-        for name, fn in quantities.items():
+        for name, q in quantities.items():
             assert len(slots[name]) == 40
             for b in (39, 17, 0):
-                assert batch_slot(fn, cfg, ANNULUS, sizes[b], 4, b, [step],
-                                  (cfg.eps,)) == slots[name][b]
+                assert batch_slot(q, cfg, ANNULUS, sizes[b], 4, b, (cfg.eps,)) == slots[name][b]
 
     def test_grid_refinement_stability(self):
-        coarse = mc_mean(lambda res: a_functional(2, X2, res, 250),
-                         _cfg(order=2, dt=4e-3, t_final=1.0), POINT_LAW, 20000, 5, [250])
-        fine = mc_mean(lambda res: a_functional(2, X2, res, 500),
-                       _cfg(order=2, dt=2e-3, t_final=1.0), POINT_LAW, 20000, 5, [500])
+        coarse = mean(weak_coefficient(2, X2, 250), 4e-3, POINT_LAW, 20000, 5)
+        fine = mean(weak_coefficient(2, X2, 500), 2e-3, POINT_LAW, 20000, 5)
         assert abs(coarse.value - fine.value) < 3 * (coarse.stderr + fine.stderr)
 
     def test_validation(self):
@@ -118,12 +115,10 @@ class TestStderrCalibration:
     def test_batch_means_coverage(self):
         # 60 independent estimates of a quantity with a known exact value:
         # the 3-sigma band from batch means should cover nearly always
-        cfg = _cfg(order=0, dt=1e-2, t_final=0.5)
         target, _ = quad(lambda r: float(flow_exact(np.array([r]), 0.5)[0]) ** 2,
                          0.5, 1.5)
         hits = sum(
-            agrees(mc_mean(lambda res: a_functional(0, X2, res, 50), cfg, ANNULUS, 2000,
-                           1000 + trial, [50]), target)
+            agrees(mean(weak_coefficient(0, X2, 50), 1e-2, ANNULUS, 2000, 1000 + trial), target)
             for trial in range(60)
         )
         assert hits >= 57
@@ -133,49 +128,49 @@ class TestWeakRemainder:
     def test_same_seed_identity_between_orders(self):
         # v_1 = v_0 / sqrt(eps) - a_1 holds pathwise on shared increments,
         # so the estimates satisfy it to rounding
-        cfg = _cfg(order=2, dt=5e-3, t_final=1.0, eps=0.1)
-        kw = dict(n_paths=4000, seed=7)
-        v0 = estimate_weak_remainder(0, 1.0, X2, cfg, POINT_LAW, **kw)
-        v1 = estimate_weak_remainder(1, 1.0, X2, cfg, POINT_LAW, **kw)
-        a1 = mc_mean(lambda res: a_functional(1, X2, res, 200), cfg, POINT_LAW, 4000, 7, [200])
-        assert v1.value == pytest.approx(v0.value / np.sqrt(cfg.eps) - a1.value,
+        eps = 0.1
+        v0 = mean(weak_remainder(0, X2, eps, 2, 200), 5e-3, POINT_LAW, 4000, 7)
+        v1 = mean(weak_remainder(1, X2, eps, 2, 200), 5e-3, POINT_LAW, 4000, 7)
+        a1 = mean(weak_coefficient(1, X2, 200), 5e-3, POINT_LAW, 4000, 7)
+        assert v1.value == pytest.approx(v0.value / np.sqrt(eps) - a1.value,
                                          rel=1e-10, abs=1e-12)
 
     def test_coupling_reduces_variance(self):
         # rescaling the v_0 estimate by eps^{-1} would give v_2 with stderr
         # v0.stderr / eps; the coupled v_2 estimator cancels the shared
         # first-order noise pathwise and beats that bound
-        cfg = _cfg(order=2, dt=5e-3, t_final=1.0, eps=0.1)
-        v0 = estimate_weak_remainder(0, 1.0, X2, cfg, ANNULUS, 4000, seed=8)
-        v2 = estimate_weak_remainder(2, 1.0, X2, cfg, ANNULUS, 4000, seed=8)
-        assert v2.stderr < v0.stderr / cfg.eps / 1.5
+        eps = 0.1
+        v0 = mean(weak_remainder(0, X2, eps, 2, 200), 5e-3, ANNULUS, 4000, 8)
+        v2 = mean(weak_remainder(2, X2, eps, 2, 200), 5e-3, ANNULUS, 4000, 8)
+        assert v2.stderr < v0.stderr / eps / 1.5
 
     def test_validation(self):
-        cfg = _cfg(order=1)
+        # v_2 reads Xbar_2, past the order 1 its X_eps is truncated at
         with pytest.raises(ValueError):
-            estimate_weak_remainder(2, 1.0, X2, cfg, POINT_LAW, 2000, seed=9)
+            mean(weak_remainder(2, X2, 0.1, 1, 500), 2e-3, POINT_LAW, 2000, 9)
 
 
 class TestStrongRemainder:
     def test_orders_improve_with_m(self):
         eps_grid = [0.05, 0.02, 0.01, 0.005]
-        cfg_for = lambda eps: _cfg(order=2, eps=eps, dt=2e-3, t_final=2.0)
-        per_eps = [estimate_strong_remainder_sq(2.0, cfg_for(eps), ANNULUS, 20000, seed=10)
+        per_eps = [list(mc_multi(strong_remainder_sq(eps, 2, 1000), 1, 2e-3, ANNULUS, 20000,
+                                 10).values())
                    for eps in eps_grid]
         slopes = [fit_power_law(eps_grid, [ests[m].value for ests in per_eps])
                   for m in (0, 1, 2)]
         assert all(s >= 0.9 for s in slopes)
 
     def test_one_estimate_per_order(self):
-        cfg = _cfg(order=1, t_final=1.0)
-        ests = estimate_strong_remainder_sq(1.0, cfg, POINT_LAW, 2000, seed=11)
+        ests = list(mc_multi(strong_remainder_sq(0.1, 1, 500), 1, 2e-3, POINT_LAW, 2000,
+                             11).values())
         assert len(ests) == 2
         assert all(e.n_paths == 2000 and e.n_batches == 40 for e in ests)
 
     def test_validation(self):
+        # a time off the dt grid has no grid step to read the remainders at
         cfg = _cfg(order=1)
         with pytest.raises(ValueError):
-            estimate_strong_remainder_sq(0.3337, cfg, POINT_LAW, 2000, seed=11)
+            strong_remainder_sq(cfg.eps, cfg.order, cfg.grid_index(0.3337))
 
 
 class TestConditionalS:
@@ -183,30 +178,29 @@ class TestConditionalS:
     # E S_{2,2}(t) = 1/2 + e^{-4t}/2,  E[S_{2,1}(t) | xi_0 = +1] = -(3/4)(1 - e^{-4t})
 
     def test_first_order_centered(self):
-        cfg = _cfg(order=1, dt=2e-3, t_final=1.0)
-        est = mc_multi({"S": conditional_s(1, 1, 500)}, cfg, POINT_LAW, 20000, 12, [500])["S"]
+        est = mean(conditional_s(1, 1, 500), 2e-3, POINT_LAW, 20000, 12)
         assert agrees(est, 0.0)
 
     def test_s22_closed_form(self):
-        cfg = _cfg(order=2, dt=2e-3, t_final=1.0)
-        est = mc_multi({"S": conditional_s(2, 2, 500)}, cfg, POINT_LAW, 40000, 13, [500])["S"]
+        dt = 2e-3
+        est = mean(conditional_s(2, 2, 500), dt, POINT_LAW, 40000, 13)
         target = 0.5 + 0.5 * np.exp(-4.0)
-        assert abs(est.value - target) < 3 * est.stderr + cfg.dt
+        assert abs(est.value - target) < 3 * est.stderr + dt
 
     def test_s21_sign_conditioning(self):
-        cfg = _cfg(order=2, dt=2e-3, t_final=2.0)
+        dt = 2e-3
         target = -0.75 * (1.0 - np.exp(-8.0))
-        out = mc_multi({sign: conditional_s(2, 1, 1000, sign) for sign in "+-"}, cfg,
-                       POINT_LAW, 40000, 14, [1000])
+        out = mc_multi({sign: conditional_s(2, 1, 1000, sign) for sign in "+-"}, 1, dt,
+                       POINT_LAW, 40000, 14)
         plus, minus = out["+"], out["-"]
-        assert abs(plus.value - target) < 3 * plus.stderr + 2 * cfg.dt
-        assert abs(minus.value + target) < 3 * minus.stderr + 2 * cfg.dt
+        assert abs(plus.value - target) < 3 * plus.stderr + 2 * dt
+        assert abs(minus.value + target) < 3 * minus.stderr + 2 * dt
         assert plus.n_paths + minus.n_paths == 40000
 
     def test_limit_reached_by_t4(self):
-        cfg = _cfg(order=2, dt=2e-3, t_final=4.0)
-        est = mc_multi({"S": conditional_s(2, 2, 2000)}, cfg, POINT_LAW, 40000, 15, [2000])["S"]
-        assert abs(est.value - 0.5) < 3 * est.stderr + cfg.dt
+        dt = 2e-3
+        est = mean(conditional_s(2, 2, 2000), dt, POINT_LAW, 40000, 15)
+        assert abs(est.value - 0.5) < 3 * est.stderr + dt
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -215,10 +209,9 @@ class TestConditionalS:
 
 class TestAbortPolicy:
     def test_mass_aborts_raise(self):
-        cfg = SimConfig(dim=1, order=0, eps=0.1, dt=1e-2, t_final=1.0)
         law = InitialLaw(kind="deterministic_point", point=(30.0,))
         with pytest.raises(EstimationError):
-            estimate_strong_remainder_sq(1.0, cfg, law, 2000, seed=17)
+            mc_multi(strong_remainder_sq(0.1, 0, 100), 1, 1e-2, law, 2000, 17)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_budget_stops_at_the_first_batch_over_it(self, monkeypatch):
@@ -228,10 +221,10 @@ class TestAbortPolicy:
         simulate = estimators.simulate_batch
         monkeypatch.setattr(estimators, "simulate_batch",
                             lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
-        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
         law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        # reads Xbar_0 only, but steps the chain, where the blowup is, to order 2
         with pytest.raises(EstimationError) as err:
-            mc_mean(lambda res: res.x0[50][:, 0], cfg, law, 20000, 5, [50])
+            mean(Quantity(lambda res: res.x0[50][:, 0], 2, (50,)), 1e-2, law, 20000, 5)
         assert len(calls) == 21
         assert str(err.value).startswith("21 of 20000 paths aborted by batch 20 of 40 "
                                          "(the first in batch 0, step ")
@@ -242,11 +235,11 @@ class TestMcMulti:
     def test_batches_without_retained_paths_are_skipped(self):
         # 100 paths in 40 batches of 2-3: some batches draw a single sign of
         # xi_0, keep no paths under the sign mask and carry no batch mean
-        cfg = _cfg(order=1, dt=1e-2, t_final=0.5)
         law = InitialLaw(kind="symmetric_two_point", point=(1.0,))
-        out = mc_multi({"x0": (lambda res: res.x0[50][:, 0], lambda res: res.xi0[:, 0] > 0),
-                        "all": lambda res: res.x0[50][:, 0] ** 2},
-                       cfg, law, 100, 19, [50])
+        out = mc_multi({"x0": Quantity(lambda res: res.x0[50][:, 0], 1, (50,),
+                                       mask=lambda res: res.xi0[:, 0] > 0),
+                        "all": Quantity(lambda res: res.x0[50][:, 0] ** 2, 1, (50,))},
+                       1, 1e-2, law, 100, 19)
         plus = out["x0"]
         assert plus.n_batches < 40
         assert 0 < plus.n_paths < 100
@@ -254,11 +247,42 @@ class TestMcMulti:
         assert out["all"].n_paths == 100 and out["all"].n_batches == 40
 
     def test_all_masked_out_raises(self):
-        cfg = _cfg(order=1, dt=1e-2, t_final=0.5)
         law = InitialLaw(kind="deterministic_point", point=(1.0,))
         with pytest.raises(EstimationError):
-            mc_multi({"minus": (lambda res: res.x0[50][:, 0], lambda res: res.xi0[:, 0] < 0)},
-                     cfg, law, 100, 19, [50])
+            mean(Quantity(lambda res: res.x0[50][:, 0], 1, (50,),
+                          mask=lambda res: res.xi0[:, 0] < 0), 1e-2, law, 100, 19)
+
+
+class TestSimulation:
+    def test_order_slices_and_end_follow_the_reads(self):
+        sim, steps, noise = simulation({"a3": weak_coefficient(3, X2, 30),
+                                        "a1": weak_coefficient(1, X2, 10)}, 1, 1e-2)
+        assert (sim.order, sim.n_steps, steps, noise) == (3, 30, [10, 30], ())
+
+    def test_a_noisy_request_steps_its_truncation_order(self, monkeypatch):
+        # v_0 reads Xbar_0 alone, but its X_eps starts from xi_eps truncated
+        # at order 2, so the chain runs to order 2
+        orders = []
+        simulate = estimators.simulate_batch
+
+        def spy(cfg, *args, **kwargs):
+            orders.append(cfg.order)
+            return simulate(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "simulate_batch", spy)
+        mc_multi({"v0": weak_remainder(0, X2, 0.1, 2, 20), "a1": weak_coefficient(1, X2, 20)},
+                 1, 1e-2, ANNULUS, 100, 5)
+        assert orders == [2] * N_BATCHES
+
+    def test_mixed_truncation_orders_are_rejected(self):
+        # the law draws xi_1..xi_order of the chain order into every X_eps, so
+        # an X_eps truncated below the chain order cannot ride on it
+        with pytest.raises(ValueError):
+            simulation({**strong_remainder_sq(0.1, 1, 20),
+                        "v": weak_remainder(0, X2, 0.05, 2, 20)}, 1, 1e-2)
+        with pytest.raises(ValueError):
+            simulation({"v": weak_remainder(0, X2, 0.1, 1, 20),
+                        "a2": weak_coefficient(2, X2, 20)}, 1, 1e-2)
 
 
 class TestAbortIsolation:
@@ -268,21 +292,18 @@ class TestAbortIsolation:
     LAW = InitialLaw(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(17.0,))
     NOISE = (0.05, 0.02, 0.01, 0.005)
 
-    def _quantities(self, cfg, noise, step):
-        qs = {"a1": lambda res: a_functional(1, X2, res, step)}
+    def _quantities(self, noise, step):
+        qs = {"a1": weak_coefficient(1, X2, step)}
         for eps in noise:
             qs[eps] = strong_remainder_sq(eps, 2, step)[1]
         return qs
 
     def test_noisy_abort_leaves_only_its_level(self):
-        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
-        shared = mc_multi(self._quantities(cfg, self.NOISE, 50), cfg, self.LAW, 20000, 5,
-                          [50])
+        shared = mc_multi(self._quantities(self.NOISE, 50), 1, 1e-2, self.LAW, 20000, 5)
         assert shared[0.05].n_aborted == 8 and shared[0.05].n_paths == 20000 - 8
         for name in ("a1",) + self.NOISE[1:]:
             assert shared[name].n_aborted == 0 and shared[name].n_paths == 20000
-        alone = mc_multi(self._quantities(cfg, (0.05,), 50), cfg, self.LAW, 20000, 5,
-                         [50])
+        alone = mc_multi(self._quantities((0.05,), 50), 1, 1e-2, self.LAW, 20000, 5)
         assert alone[0.05] == shared[0.05]
         assert alone["a1"] == shared["a1"]
 
@@ -290,15 +311,14 @@ class TestAbortIsolation:
     def test_chain_abort_leaves_every_quantity(self):
         # one chain abort in each of the 40 batches: 40 of 40 000 paths is
         # within the 0.1% budget
-        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.5)
         law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
-        out = mc_multi(self._quantities(cfg, self.NOISE, 50), cfg, law, 40000, 5, [50])
+        out = mc_multi(self._quantities(self.NOISE, 50), 1, 1e-2, law, 40000, 5)
         for name in ("a1",) + self.NOISE:
             assert out[name].n_aborted == 40 and out[name].n_paths == 40000 - 40
 
     def test_simulates_the_levels_its_quantities_read(self, monkeypatch):
-        # the noise levels come from the quantities' reads_noise tags, in the
-        # order first read, and each batch steps exactly those trajectories
+        # the noise levels come from the quantities' eps, in the order first
+        # read, and each batch steps exactly those trajectories
         levels = []
         simulate = estimators.simulate_batch
 
@@ -307,16 +327,15 @@ class TestAbortIsolation:
             return simulate(*args, noise=noise, **kwargs)
 
         monkeypatch.setattr(estimators, "simulate_batch", spy)
-        cfg = SimConfig(dim=1, order=2, dt=1e-2, t_final=0.2)
-        qs = {"v_a": weak_remainder(1, X2, 0.02, 20),
-              "a1": lambda res: a_functional(1, X2, res, 20),
+        qs = {"v_a": weak_remainder(1, X2, 0.02, 2, 20),
+              "a1": weak_coefficient(1, X2, 20),
               "w": strong_remainder_sq(0.05, 2, 20)[0],
-              "v_b": weak_remainder(2, X2, 0.02, 20)}
-        assert noise_levels(qs) == (0.02, 0.05)
-        mc_multi(qs, cfg, self.LAW, 100, 5, [20])
+              "v_b": weak_remainder(2, X2, 0.02, 2, 20)}
+        assert simulation(qs, 1, 1e-2)[2] == (0.02, 0.05)
+        mc_multi(qs, 1, 1e-2, self.LAW, 100, 5)
         assert levels == [(0.02, 0.05)] * N_BATCHES
         levels.clear()
-        mc_multi(self._quantities(cfg, (), 20), cfg, self.LAW, 100, 5, [20])
+        mc_multi(self._quantities((), 20), 1, 1e-2, self.LAW, 100, 5)
         assert levels == [()] * N_BATCHES
 
 
