@@ -39,6 +39,7 @@ from .combinatorics import MAX_ORDER
 from .equilibrium import (
     expansion_residual_order,
     expansion_residuals,
+    leading_order,
     residual_coefficient_fit,
     stationarity_defect,
 )
@@ -57,7 +58,7 @@ from .estimators import (
 # not called here: benchmark/tracer.py looks these names up in this module
 from .equilibrium import gibbs_expectation
 from .estimators import a_functional, estimate_strong_remainder_sq, estimate_weak_remainder
-from .hierarchy import InitialLaw, SimConfig
+from .hierarchy import InitialLaw, LawError, SimConfig
 from .observables import Observable, ParseError, parse_polynomial
 from .recursions import b_coeff, big_b_coeff, c_table, d_table
 
@@ -99,8 +100,8 @@ class ExperimentConfig:
                 spec[key] = tuple(float(v) for v in spec[key])
         try:
             return InitialLaw(**spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc), "/initial_law") from exc
+        except LawError as exc:
+            raise ConfigError(str(exc), f"/initial_law/{exc.field}") from exc
 
     def parsed_observable(self) -> Observable:
         if not self.observable:
@@ -364,24 +365,25 @@ def _equilibrium_check(cfg):
         raise ConfigError("equilibrium_check needs at least 4 eps values in [0.005, 0.3]",
                           "/eps_grid")
     F = cfg.parsed_observable()
+    k = leading_order(cfg.order)  # the residuals lead with eps^{k/2} B_k
 
     def checks(est):
-        table = d_table(max(cfg.order + 2, 8))
+        table = d_table(max(k, 8))
         defect, scale = stationarity_defect(F, cfg.eps_grid[0])
         rows = [ResultRow(f"stationarity_defect(eps={cfg.eps_grid[0]:g})",
                           defect, None, 0.0, "derived", "within", 1e-10 * scale)]
         try:
             eps, residuals = expansion_residuals(F, cfg.order, cfg.eps_grid, table)
         except ValueError:  # a residual at the quadrature floor: no order to read off
-            return rows + [ResultRow("residual_order", float("nan"), None, 1.8, "paper",
+            return rows + [ResultRow("residual_order", float("nan"), None, k / 2 - 0.2, "paper",
                                      "at_least")], []
         for e, r in zip(eps, residuals):
             rows.append(ResultRow(f"residual(eps={e:g})", r, None, None, "none", "reported"))
         order = expansion_residual_order(eps, residuals)
-        rows.append(ResultRow("residual_order", order, None, 1.8, "paper", "at_least"))
+        rows.append(ResultRow("residual_order", order, None, k / 2 - 0.2, "paper", "at_least"))
         coeffs = residual_coefficient_fit(eps, residuals, cfg.order)
-        lead = float(big_b_coeff(cfg.order + 2, F, table))
-        rows.append(ResultRow(f"leading_coefficient(eps^{(cfg.order + 2) // 2})",
+        lead = float(big_b_coeff(k, F, table))
+        rows.append(ResultRow(f"leading_coefficient(eps^{k // 2})",
                               float(coeffs[0]), None, lead, "derived", "relative", 0.1))
         return rows, []
 
@@ -480,7 +482,7 @@ def _longtime_scalar(cfg):
                                   for m in (1, 2, 3) for t in times},
                      cfg.dim, cfg.dt, law, max(cfg.n_paths // 4, 1000), cfg.seed + 1)
     # P(xi_0 > 0): the symmetric kinds put half their mass on each sign
-    p_plus = 1.0 if law.kind == "deterministic_point" else 0.5
+    p_plus = Fraction(1) if law.kind == "deterministic_point" else Fraction(1, 2)
 
     def checks(est):
         rows, gaps, ses = [], [], []

@@ -84,6 +84,19 @@ class SimConfig:
         return k
 
 
+class LawError(ValueError):
+    """A rejected `InitialLaw` field; `field` names it."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
+# the fields besides higher_std that each kind of law reads
+_LAW_FIELDS = {"deterministic_point": ("point",), "symmetric_two_point": ("point",),
+              "uniform_annulus": ("r_min", "r_max")}
+
+
 @dataclass(frozen=True)
 class InitialLaw:
     """Initial data (xi_0, xi_1, ..., xi_n) with the assumed structure.
@@ -92,28 +105,31 @@ class InitialLaw:
     seeds are independent of xi_0 and of each other (deterministic zero or
     centered isotropic Gaussians), and xi_eps is the exact truncation
     sum_k eps^{k/2} xi_k, so there is no initial-data error to confound
-    rate fits.
+    rate fits.  A field the kind does not read must be left out.
     """
 
     kind: str  # deterministic_point | symmetric_two_point | uniform_annulus
     point: Optional[tuple] = None       # for the point-based kinds
-    r_min: float = 0.0                  # for uniform_annulus
-    r_max: float = 0.0
+    r_min: Optional[float] = None       # for uniform_annulus
+    r_max: Optional[float] = None
     higher_std: tuple = ()              # std of xi_k for k = 1, 2, ...; 0 = frozen zero
 
     def __post_init__(self):
-        if self.kind in ("deterministic_point", "symmetric_two_point"):
-            if self.point is None:
-                raise ValueError(f"{self.kind} requires a point")
-            if not any(abs(p) > 0 for p in self.point):
-                raise ValueError("xi_0 = 0 is excluded")
-        elif self.kind == "uniform_annulus":
-            if not 0.0 < self.r_min < self.r_max:
-                raise ValueError("uniform_annulus requires 0 < r_min < r_max")
-        else:
-            raise ValueError(f"unknown initial law kind {self.kind!r}")
+        if self.kind not in _LAW_FIELDS:
+            raise LawError(f"unknown initial law kind {self.kind!r}", "kind")
+        for name in ("point", "r_min", "r_max"):
+            reads = name in _LAW_FIELDS[self.kind]
+            if reads != (getattr(self, name) is not None):
+                raise LawError(f"{self.kind} {'requires' if reads else 'does not read'} {name}",
+                               name)
+        if self.point is not None and not any(abs(p) > 0 for p in self.point):
+            raise LawError("xi_0 = 0 is excluded", "point")
+        if self.r_min is not None and not 0.0 < self.r_min:
+            raise LawError("uniform_annulus requires r_min > 0", "r_min")
+        if self.r_max is not None and not self.r_min < self.r_max:
+            raise LawError("uniform_annulus requires r_min < r_max", "r_max")
         if any(s < 0 for s in self.higher_std):
-            raise ValueError("higher_std entries must be >= 0")
+            raise LawError("higher_std entries must be >= 0", "higher_std")
 
     def std_for(self, k: int) -> float:
         if k < 1:

@@ -83,26 +83,17 @@ def c_table(n: int) -> RationalTable:
     plus: Dict[Tuple[int, int], Fraction] = {}
     minus: Dict[Tuple[int, int], Fraction] = {}
 
-    def c(m, i, tab):
-        if (m, i) == (0, 0):
-            return Fraction(1)
-        if m < 1 or i < 1 or i > m:
-            return Fraction(0)
-        return tab.get((m, i), Fraction(0))
+    def c(m, i, tab):  # only the triangle 1 <= i <= m is stored
+        return Fraction(1) if (m, i) == (0, 0) else tab.get((m, i), Fraction(0))
 
-    for m in range(1, n + 1):
-        for i in range(m, 0, -1):
-            half_im1 = Fraction(i - 1, 2)
-            plus[(m, i)] = (
-                half_im1 * c(m - 2, i - 2, plus)
-                - Fraction(3, 2) * c(m, i + 1, plus)
-                - Fraction(1, 2) * c(m, i + 2, plus)
-            )
-            minus[(m, i)] = (
-                half_im1 * c(m - 2, i - 2, minus)
-                + Fraction(3, 2) * c(m, i + 1, minus)
-                - Fraction(1, 2) * c(m, i + 2, minus)
-            )
+    for tab, sign in ((plus, -1), (minus, 1)):  # the sign of the 3/2 term
+        for m in range(1, n + 1):
+            for i in range(m, 0, -1):
+                tab[(m, i)] = (
+                    Fraction(i - 1, 2) * c(m - 2, i - 2, tab)
+                    + sign * Fraction(3, 2) * c(m, i + 1, tab)
+                    - Fraction(1, 2) * c(m, i + 2, tab)
+                )
     return RationalTable(order=n, family="c", plus=plus, minus=minus)
 
 
@@ -167,45 +158,41 @@ def d_table(n: int) -> RationalTable:
     _check_order(n)
     plus: Dict[Tuple[int, int], Fraction] = {}
     minus: Dict[Tuple[int, int], Fraction] = {}
-    norm_plus = _well_series(0, n, cubic_sign=1)
-    norm_minus = _well_series(0, n, cubic_sign=-1)
-    for i in range(1, n + 1):
-        ratio_p = _series_divide(_well_series(i, n, 1), norm_plus, n)
-        ratio_m = _series_divide(_well_series(i, n, -1), norm_minus, n)
-        for m in range(i, n + 1):
-            plus[(m, i)] = ratio_p[m - i]
-            minus[(m, i)] = ratio_m[m - i]
-    # i = 0 column: the normalized mass of each well is 1 at order 0 and has
-    # no higher-order correction (the ratio of a series with itself).
-    for m in range(1, n + 1):
-        plus[(m, 0)] = Fraction(0)
-        minus[(m, 0)] = Fraction(0)
+    for tab, cubic_sign in ((plus, 1), (minus, -1)):
+        norm = _well_series(0, n, cubic_sign)
+        for i in range(1, n + 1):
+            ratio = _series_divide(_well_series(i, n, cubic_sign), norm, n)
+            for m in range(i, n + 1):
+                tab[(m, i)] = ratio[m - i]
+        # i = 0 column: the normalized mass of the well is 1 at order 0 and
+        # has no higher-order correction (the ratio of a series with itself).
+        for m in range(1, n + 1):
+            tab[(m, 0)] = Fraction(0)
     return RationalTable(order=n, family="d", plus=plus, minus=minus)
 
 
 # -- assembly of the observable-level limits ----------------------------------
 
 
-def b_coeff(m: int, F: Observable, p_plus, table: RationalTable) -> float:
+def b_coeff(m: int, F: Observable, p_plus: Fraction, table: RationalTable) -> float:
     """Long-time limit of the m-th dynamical expansion coefficient (d = 1).
 
     b_m(F) = P(xi0>0) sum_{i=0..m} c_{m,i}/i! F^(i)(1)
            + P(xi0<0) sum_{i=0..m} cbar_{m,i}/i! F^(i)(-1);
     the i = 0 entry is 1 at m = 0 and 0 above, so b_0(F) = p F(1) + (1-p) F(-1).
-    Assembled in exact rationals.
+    Assembled in exact rationals from the exact weight p_plus = P(xi0>0).
     """
     if F.dim != 1:
         raise ValueError("b_coeff requires a scalar observable")
     if m > table.order:
         raise ValueError(f"m = {m} exceeds table order {table.order}")
-    p = Fraction(p_plus).limit_denominator(10 ** 12) if isinstance(p_plus, float) else Fraction(p_plus)
-    if not 0 <= p <= 1:
+    if not 0 <= p_plus <= 1:
         raise ValueError("p_plus must be in [0, 1]")
     total = Fraction(0)
-    for i in range(m + 1):
-        w = Fraction(1, factorial(i))
-        total += p * table.get(m, i) * w * F.scalar_derivative_exact(i, 1)
-        total += (1 - p) * table.get(m, i, barred=True) * w * F.scalar_derivative_exact(i, -1)
+    for p, well, barred in ((p_plus, 1, False), (1 - p_plus, -1, True)):
+        for i in range(m + 1):
+            w = Fraction(1, factorial(i))
+            total += p * table.get(m, i, barred=barred) * w * F.scalar_derivative_exact(i, well)
     return float(total)
 
 

@@ -1,14 +1,14 @@
 """End-to-end acceptance gate.
 
 Each test drives one checked-in experiment config through the CLI runner
-(outputs redirected to a temp dir), compares the fresh results.csv with
-the checked-in out/<name>/results.csv, and prints a single summary line so
-the full-suite log shows the verdicts at a glance.
+(outputs redirected to a temp dir), compares the fresh results.csv (and
+the two tables.csv) byte for byte with the checked-in out/<name>/ files,
+and prints a single summary line so the full-suite log shows the verdicts
+at a glance.
 """
 
 import csv
 import dataclasses
-import math
 import time
 from pathlib import Path
 
@@ -27,32 +27,12 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "out"
 
 
-def _matches_golden(name, fresh):
-    """Whether a fresh results.csv reproduces the checked-in out/<name>/results.csv."""
-    golden = GOLDEN_DIR / name / "results.csv"
-    if name != "equilibrium_check":
-        return fresh.read_bytes() == golden.read_bytes()
-    # The quadrature sums run through numpy reductions whose rounding
-    # differs between numpy versions: under numpy 2.4.6 the residual rows
-    # move by up to 2e-12 relative (7.7e-13 absolute on residual_order).
-    with open(fresh) as fa, open(golden) as fb:
-        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
-    if len(rows_a) != len(rows_b):
-        return False
-    for ra, rb in zip(rows_a, rows_b):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            try:
-                same = math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-15)
-            except ValueError:
-                same = a == b
-            if not same:
-                return False
-    return True
+def _matches_golden(name, out, files):
+    """Whether each fresh file equals the checked-in out/<name>/ file byte for byte."""
+    return all((GOLDEN_DIR / name / f).read_bytes() == (out / f).read_bytes() for f in files)
 
 
-def _run(name, tmp_path):
+def _run(name, tmp_path, files=("results.csv",)):
     cfg = parse_config(CONFIG_DIR / f"{name}.json")
     out = tmp_path / name
     cfg = dataclasses.replace(cfg, output_dir=str(out))
@@ -63,7 +43,7 @@ def _run(name, tmp_path):
     with open(out / "results.csv") as fh:
         for row in csv.DictReader(fh):
             rows[row["params"]] = row
-    return code, elapsed, rows, _matches_golden(name, out / "results.csv")
+    return code, elapsed, rows, _matches_golden(name, out, files)
 
 
 def _report(capsys, n, ok, detail):
@@ -73,17 +53,18 @@ def _report(capsys, n, ok, detail):
 
 
 def test_criterion_1_recursion_table_anchors(tmp_path, capsys):
-    code, elapsed, rows, golden = _run("recursion_tables", tmp_path)
+    code, elapsed, rows, golden = _run("recursion_tables", tmp_path,
+                                       ("results.csv", "tables.csv"))
     ok = code == 0 and elapsed < 1.0 and golden
-    _report(capsys, 1, ok,
-            f"exit={code}, anchors+odd-m rows all passed, {elapsed:.2f}s, golden={golden}")
+    _report(capsys, 1, ok, f"exit={code}, anchors+odd-m rows all passed, {elapsed:.2f}s, "
+                           f"golden results and tables={golden}")
 
 
 def test_criterion_2_independent_table_consistency(tmp_path, capsys):
-    code, elapsed, rows, golden = _run("consistency", tmp_path)
+    code, elapsed, rows, golden = _run("consistency", tmp_path, ("results.csv", "tables.csv"))
     ok = code == 0 and elapsed < 1.0 and golden
-    _report(capsys, 2, ok,
-            f"exit={code}, c == d entrywise to n=8, {elapsed:.2f}s, golden={golden}")
+    _report(capsys, 2, ok, f"exit={code}, c == d entrywise to n=8, {elapsed:.2f}s, "
+                           f"golden results and tables={golden}")
 
 
 def test_criterion_3_equilibrium_residual_order(tmp_path, capsys):

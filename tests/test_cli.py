@@ -162,6 +162,18 @@ LATE_FAILURES = [
           time_grid=[k / 100 for k in range(1, 1001)], n_paths=1_000_000), "/n_paths"),
     # an output_dir under a regular file failed only when written, after the Monte Carlo
     (dict(STRONG, output_dir=str(Path(__file__).resolve() / "out")), "/output_dir"),
+    # a field the law's kind never reads was accepted and ignored
+    (dict(STRONG, initial_law=dict(ANNULUS, point=[5.0])), "/initial_law/point"),
+    (dict(VECTOR, initial_law=dict(POINT2, r_min=0.5, r_max=1.5)), "/initial_law/r_min"),
+    (dict(VECTOR, initial_law=dict(POINT2, r_max=1.5)), "/initial_law/r_max"),
+    # each rejection of the law names its field, not the bare /initial_law
+    (dict(STRONG, initial_law=dict(ANNULUS, higher_std=[-1.0])), "/initial_law/higher_std"),
+    (dict(STRONG, initial_law=dict(ANNULUS, r_min=1.4, r_max=0.6)), "/initial_law/r_max"),
+    (dict(STRONG, initial_law=dict(ANNULUS, r_min=0.0)), "/initial_law/r_min"),
+    (dict(STRONG, initial_law={"kind": "uniform_annulus", "r_min": 0.6}), "/initial_law/r_max"),
+    (dict(VECTOR, initial_law=dict(POINT2, point=[0.0, 0.0])), "/initial_law/point"),
+    (dict(VECTOR, initial_law={"kind": "deterministic_point"}), "/initial_law/point"),
+    (dict(VECTOR, initial_law={"kind": "gaussian", "point": [1.0, 0.0]}), "/initial_law/kind"),
 ]
 # simulation requests per checked-in config
 PLANNED_REQUESTS = {"consistency": 0, "equilibrium_check": 0, "longtime_scalar": 2,
@@ -356,6 +368,20 @@ class TestRunExperiment:
             params = [r["params"] for r in csv.DictReader(fh)]
         assert params == [f"v_{order}(eps={e:g},t=1)" for e in (0.4, 0.2, 0.1, 0.05)] + [
             f"weak_order(m={order})", "v_0_consistency(eps=0.05,t=1)"]
+
+    @pytest.mark.parametrize("order, bar, power, lead", [(0, 0.8, 1, -1.0), (1, 0.8, 1, -1.0),
+                                                         (3, 1.8, 2, -3.0)])
+    def test_equilibrium_references_follow_the_order(self, order, bar, power, lead, tmp_path):
+        # odd B_k vanish, so the order-m residuals lead with eps^{k/2} B_k, k the first even
+        # order above m; an order-(m + 2) reference failed orders 0, 1 and 3
+        out = tmp_path / "out"
+        doc = json.loads((CONFIG_DIR / "equilibrium_check.json").read_text())
+        cfg = parse_config(write_config(tmp_path, **dict(doc, order=order, output_dir=str(out))))
+        assert run_experiment(cfg) == 0
+        with open(out / "results.csv") as fh:
+            rows = {r["params"]: r for r in csv.DictReader(fh)}
+        assert float(rows["residual_order"]["reference"]) == bar
+        assert float(rows[f"leading_coefficient(eps^{power})"]["reference"]) == lead
 
     def test_residuals_at_the_quadrature_floor_are_a_failed_row(self, tmp_path):
         # every B_k(x1) and E[x1] vanish: the residuals sit at rounding level

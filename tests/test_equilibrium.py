@@ -86,6 +86,18 @@ class TestGibbsExpectation:
         with pytest.raises(ValueError):
             gibbs_expectation(parse_polynomial("x1*x2", 2), 0.1)
 
+    @pytest.mark.parametrize("eps", [0.001, 0.006, 0.04, 0.2, 0.5, 0.95])
+    def test_even_moments_match_adaptive_quadrature(self, eps):
+        # the large-eps end sets the step: 0.25 sqrt(eps) misses by ~1e-9 there
+        def integral(k):
+            return quad(lambda x: x ** k * np.exp(-((0.25 * x ** 4 - 0.5 * x ** 2) + 0.25) / eps),
+                        -8.0, 8.0, points=[-1.0, 1.0], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        z = integral(0)
+        for k in range(0, 13, 2):
+            F = parse_polynomial(f"x1^{k}" if k else "1", 1)
+            assert gibbs_expectation(F, eps) == pytest.approx(integral(k) / z, rel=1e-13, abs=0.0)
+
 
 class TestStationarity:
     def test_x4_identity(self):
