@@ -245,7 +245,7 @@ def _write_tables(tables, out_dir: Path) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
-                    wall_time: float, runtimes: dict) -> None:
+                    wall_time: float, runtimes: dict, path_steps: dict) -> None:
     manifest = {
         "config": config_to_document(cfg),
         "seed": cfg.seed,
@@ -256,6 +256,7 @@ def _write_manifest(cfg: ExperimentConfig, rows: List[ResultRow], out_dir: Path,
         },
         "wall_time_s": wall_time,
         "runtimes_s": runtimes,
+        "path_steps": path_steps,
         "n_failed": sum(not r.passed for r in rows),
         "rules": [{"params": r.params, "rule": r.rule, "tol": r.tol, "test": RULES[r.rule][0],
                    "passed": r.passed} for r in rows],
@@ -298,7 +299,13 @@ class Request:
         kept = batch_bytes(self.quantities, self.dim, self.dt, self.n_paths)
         return (f"{self.label}: {sim}, {self.law.kind} law, {self.n_paths} paths, "
                 f"seed {self.seed}, slice steps {steps}, noise {noise}, "
-                f"{len(self.quantities)} quantities, {kept:,} bytes of slices a batch")
+                f"{len(self.quantities)} quantities, {kept:,} bytes of slices a batch, "
+                f"{self.path_steps:,} path-steps")
+
+    @property
+    def path_steps(self) -> int:
+        """Paths times grid steps of the simulation: the request's Monte Carlo work."""
+        return self.n_paths * simulation(self.quantities, self.dim, self.dt)[0].n_steps
 
 
 def _grid_steps(cfg: ExperimentConfig) -> dict:
@@ -606,7 +613,8 @@ def run_experiment(cfg: ExperimentConfig, dry_run: bool = False, stream=None) ->
     _write_results(cfg.experiment, rows, out_dir)
     if tables:
         _write_tables(tables, out_dir)
-    _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, runtimes)
+    _write_manifest(cfg, rows, out_dir, time.perf_counter() - t0, runtimes,
+                    {req.label: req.path_steps for req in requests})
     for r in rows:
         mark = "ok  " if r.passed else "FAIL"
         print(f"{mark} {cfg.experiment}:{r.params} = {float(r.estimate):.6g}"

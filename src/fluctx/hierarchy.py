@@ -28,11 +28,16 @@ a second core beside it; at narrower steps the thread handoffs cost more
 than the draw.  Either way the same function fills each block, the
 generator yields the same numbers in the same order and is left in the
 same state.
+
+Once per block of at most DRAW_BLOCK doubles of increments, the loop
+computes what no step changes: each step's exact flow, the 1 - |x0|^2 of
+the x0 it reads (summed by `_component_sum`, as dot products are) and
+sqrt(2) dW, by the operations a step would use, so the bytes do not depend
+on the block.  While no path is lost, a finite total stands for the check.
 """
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 from contextlib import contextmanager
@@ -185,26 +190,27 @@ def _component_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.add(p[..., 0, :], 0.0, out=out)
     if d < 8:
-        return np.add.reduce(p, axis=-2, out=out)
-    return np.add.reduce(np.swapaxes(p, -1, -2).copy(), axis=-1, out=out)
+        return np.add.reduce(p, -2, None, out)
+    return np.add.reduce(np.swapaxes(p, -1, -2).copy(), -1, None, out)
 
 
 @contextmanager
 def _increment_blocks(rng, n_steps: int, n: int, d: int, dt: float):
-    """The Brownian increments sqrt(dt) Z of n_steps steps, as an iterator of blocks.
+    """The Brownian increments sqrt(dt) Z of n_steps steps: (block length, iterator of blocks).
 
-    Each block is a (steps, d, n) component-major view, valid until the
-    next one is taken; together they are the rng's next n_steps * n * d
-    standard normals, read in (step, path, component) order.  Below
-    DRAW_AHEAD_WIDTH doubles a step the blocks are drawn inline, when
-    taken.  From there on a helper thread draws up to DRAW_RING blocks
-    ahead of the caller, and only it touches rng until it is joined on
-    leaving the context; Philox's fill and the ufunc loops release the
-    GIL, so the draw runs beside the caller's stepping.  An exception in
-    the helper is raised from the iterator.
+    Each block is a (steps, d, n) view of at most `block length` steps
+    (DRAW_BLOCK doubles), valid until the next one is taken; together they
+    are the rng's next n_steps * n * d standard normals, in (step, path,
+    component) order.  Below DRAW_AHEAD_WIDTH doubles a step they are drawn
+    inline, when taken.  From there on a helper thread draws up to DRAW_RING
+    blocks of DRAW_AHEAD_BLOCK doubles ahead, handed out in pieces of the
+    block length; only it touches rng until it is joined on leaving the
+    context, and Philox's fill and the ufunc loops release the GIL, so the
+    draw runs beside the stepping.  A helper's exception leaves by the iterator.
     """
     inline = n * d < DRAW_AHEAD_WIDTH
-    block = max(1, min(n_steps, (DRAW_BLOCK if inline else DRAW_AHEAD_BLOCK) // (n * d)))
+    length = max(1, min(n_steps, DRAW_BLOCK // (n * d)))
+    block = length if inline else max(1, min(n_steps, DRAW_AHEAD_BLOCK // (n * d)))
     sizes = [min(block, n_steps - start) for start in range(0, n_steps, block)]
     sqrt_dt = np.sqrt(dt)
     # at d = 1 the transposed increments share the draws' memory
@@ -217,7 +223,7 @@ def _increment_blocks(rng, n_steps: int, n: int, d: int, dt: float):
 
     if inline:
         out = np.empty((block, d, n))
-        yield (fill(out, size) for size in sizes)
+        yield length, (fill(out, size) for size in sizes)
         return
 
     free, ready = queue.Queue(), queue.Queue()
@@ -239,16 +245,22 @@ def _increment_blocks(rng, n_steps: int, n: int, d: int, dt: float):
             out, item = ready.get()
             if out is None:
                 raise item
-            yield item
+            for start in range(0, len(item), length):
+                yield item[start:start + length]
             free.put(out)
 
     helper = threading.Thread(target=draw_ahead, name="fluctx-draw-ahead", daemon=True)
     helper.start()
     try:
-        yield blocks()
+        yield length, blocks()
     finally:
         free.put(None)
         helper.join()
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite: its total if finite, else entry by entry."""
+    return bool(np.isfinite(np.add.reduce(a, None)) or np.isfinite(a).all())
 
 
 class BatchResult:
@@ -325,56 +337,58 @@ def simulate_batch(
 
     # preallocated buffers; at d = 1 each dot product is formed in its own
     # output row
-    prod = None if d == 1 else np.empty((max(K + 1, levels), d, n))
+    prod = None if d == 1 else np.empty((max(K, levels), d, n))
     r2_full, drift_full, noise_full = (np.empty((levels, n)), np.empty((levels, d, n)),
                                        np.empty((levels, d, n)))
-    dots = np.empty((K + 1, n))
+    two_dot = np.empty((K, n))  # 2 Xbar_k . x0 for k = 1..K
+    chain1, two_dot_b = chain[1:], two_dot[:, None, :]
     # scratch[0] holds one term at a time, scratch[1:] the forcing of orders 2..K
     inc, scratch = np.empty((K, d, n)), np.empty((K, d, n))
     # Xbar_lo . Xbar_hi and that times x0, for lo <= hi, lo + hi <= K, at [lo][hi - lo]
     pair_dot = {lo: np.empty((K + 1 - 2 * lo, n)) for lo in range(1, K // 2 + 1)}
     pair_x0 = {lo: np.empty((K + 1 - 2 * lo, d, n)) for lo in range(1, K // 2 + 1)}
-    forcing_plan = [(combinatorics.compositions(m, 2), combinatorics.compositions(m, 3))
-                    for m in range(2, K + 1)]
-    den = dots[0]  # the flow's denominator, once the chain has stepped
+    pair_plan = [(chain[lo:K + 1 - lo], chain[lo], pair_dot[lo], pair_x0[lo]) for lo in pair_dot]
+    # per order m = 2..K: its forcing, the operands of its pair and triple terms
+    forcing_plan = [(f, [(two_dot[i - 1], chain[j], pair_x0[min(i, j)][abs(j - i)])
+                         for i, j in combinatorics.compositions(m, 2)],
+                     [((min(i, j), max(i, j), k), pair_dot[min(i, j)][abs(j - i)], chain[k])
+                      for i, j, k in combinatorics.compositions(m, 3)])
+                    for m, f in zip(range(2, K + 1), scratch[1:])]
+    inc0, inc1, term0, forcing = (inc[0], inc[1:], scratch[0], scratch[1:]) if K else [None] * 4
 
     def dot_into(a, b, out):
         """The dot products of the component-major vectors a and b, into out."""
         p = out[:, None, :] if prod is None else prod[:len(out)]
-        return _component_sum(np.multiply(a, b, out=p), out)
+        return _component_sum(np.multiply(a, b, p), out)
 
-    def step_chain(dW):
-        x0 = chain[0]
-        dot_into(chain, x0, dots)
-        q = np.subtract(1.0, dots[0], out=dots[0])
-        two_dot = np.multiply(dots[1:], 2.0, out=dots[1:])
+    def step_chain(x0, q, sqrt2_dw):
+        """One step of Xbar_1..Xbar_K from x0, q = 1 - |x0|^2 and sqrt(2) dW."""
+        np.multiply(dot_into(chain1, x0, two_dot), 2.0, two_dot)
         # linear part [(1 - |x0|^2) I - 2 x0 x0^T] Xbar_k, every order at once
-        np.multiply(chain[1:], q, out=inc)
-        np.subtract(inc, np.multiply(two_dot[:, None, :], x0, out=scratch), out=inc)
-        for lo in pair_dot:
-            dot_into(chain[lo:K + 1 - lo], chain[lo], pair_dot[lo])
-            np.multiply(pair_dot[lo][:, None, :], x0, out=pair_x0[lo])
+        np.multiply(chain1, q, inc)
+        np.subtract(inc, np.multiply(two_dot_b, x0, scratch), inc)
+        for hi, lo, dots, times_x0 in pair_plan:
+            np.multiply(dot_into(hi, lo, dots)[:, None, :], x0, times_x0)
         # the cubic nonlinearity's order-m part, summed in composition order
         # from its first term (a start at +0.0 could only flip the sign of an
         # all-zero sum, which no Xbar_m shows); (Xbar_i . Xbar_j) Xbar_k is
         # shared by (i, j, k) and (j, i, k)
         shared = {}
-        for f, (pairs, triples) in zip(scratch[1:], forcing_plan):
-            for c, (i, j) in enumerate(pairs):
+        for f, pairs, triples in forcing_plan:
+            for c, (two_dot_i, xbar_j, pair_term) in enumerate(pairs):
                 # (Xbar_i . Xbar_j) x0 + 2 (Xbar_i . x0) Xbar_j
-                term = np.multiply(two_dot[i - 1], chain[j], out=f if c == 0 else scratch[0])
-                term += pair_x0[min(i, j)][abs(j - i)]
+                term = np.multiply(two_dot_i, xbar_j, term0 if c else f)
+                np.add(term, pair_term, term)
                 if c:
-                    f += term
-            for (i, j, k) in triples:
-                key = (min(i, j), max(i, j), k)
+                    np.add(f, term, f)
+            for key, dot_ij, xbar_k in triples:
                 if key not in shared:
-                    shared[key] = pair_dot[key[0]][key[1] - key[0]] * chain[k]
-                f += shared[key]
-        inc[1:] -= scratch[1:]
-        np.multiply(inc, dt, out=inc)
-        inc[0] += np.multiply(dW, sqrt2, out=scratch[0])
-        chain[1:] += inc
+                    shared[key] = dot_ij * xbar_k
+                np.add(f, shared[key], f)
+        np.subtract(inc1, forcing, inc1)
+        np.multiply(inc, dt, inc)
+        np.add(inc0, sqrt2_dw, inc0)
+        np.add(chain1, inc, chain1)
 
     out_x0, out_xbar, out_xfull = {}, {}, {eps: {} for eps in noise}
     lost = {key: np.zeros(n, dtype=bool) for key in (None,) + noise}
@@ -396,6 +410,9 @@ def simulate_batch(
             mask |= new
 
     def check(step):
+        # while no path is lost, a finite state has nothing to flag or freeze
+        if first_abort is None and _all_finite(chain) and _all_finite(xfull):
+            return
         bad = ~np.all(np.isfinite(xfull), axis=1)
         for i, eps in enumerate(noise):
             flag(lost[eps], f"xfull(eps={eps:g})", bad[i], step)
@@ -414,25 +431,40 @@ def simulate_batch(
         snapshot(0)
     # diverging paths overflow before they are frozen to NaN; the abort
     # bookkeeping handles them, so the warnings are noise
-    with _increment_blocks(rng, n_steps, n, d, dt) as blocks, \
+    with _increment_blocks(rng, n_steps, n, d, dt) as (length, blocks), \
             np.errstate(over="ignore", invalid="ignore"):
-        for step, dW in enumerate(itertools.chain.from_iterable(blocks), start=1):
-            if levels:
-                dot_into(xfull, xfull, r2_full)
-                np.subtract(1.0, r2_full, out=r2_full)
-                np.multiply(xfull, r2_full[:, None, :], out=drift_full)
-                drift_full *= dt
-                drift_full += np.multiply(dW, sqrt_2eps, out=noise_full)
-                xfull += drift_full
-            if K >= 1:
-                # every order is forced by the lower orders at the previous
-                # time: all increments are taken before any order moves
-                step_chain(dW)
-            np.multiply(one_minus_r2_xi0, np.exp(-2.0 * step * dt), out=den)
+        # per block: step j reads x0 = xs0[j], q[j] = 1 - |xs0[j]|^2 and
+        # sqrt2_dw[j] = sqrt(2) dW, and xs0[j + 1] is the exact flow it leaves
+        xs0, q = np.empty((length + 1, d, n)), np.empty((length, n))
+        sqrt2_dw, steps = np.empty((length, d, n)), range(1, 1)
+        xs0[0] = chain[0]
+        for dW in blocks:
+            steps = range(steps.stop, steps.stop + len(dW))
+            size = len(steps)
+            exps = np.exp([-2.0 * step * dt for step in steps])
+            den = np.multiply(one_minus_r2_xi0, exps[:, None], q[:size])
             den += r2_xi0
-            np.divide(xi0_cm, np.sqrt(den, out=den), out=chain[0])
-            if step % NAN_CHECK_STRIDE == 0 or step in want or step == n_steps:
-                check(step)
-            if step in want:
-                snapshot(step)
+            np.divide(xi0_cm, np.sqrt(den, den)[:, None, :], xs0[1:size + 1])
+            if K:
+                _component_sum(np.multiply(xs0[:size], xs0[:size], sqrt2_dw[:size]), q[:size])
+                np.subtract(1.0, q[:size], q[:size])
+                np.multiply(dW, sqrt2, sqrt2_dw[:size])
+            for j, step in enumerate(steps):
+                if levels:
+                    dot_into(xfull, xfull, r2_full)
+                    np.subtract(1.0, r2_full, r2_full)
+                    np.multiply(xfull, r2_full[:, None, :], drift_full)
+                    drift_full *= dt
+                    drift_full += np.multiply(dW[j], sqrt_2eps, noise_full)
+                    xfull += drift_full
+                if K:
+                    # every order is forced by the lower orders at the previous
+                    # time: all increments are taken before any order moves
+                    step_chain(xs0[j], q[j], sqrt2_dw[j])
+                if step % NAN_CHECK_STRIDE == 0 or step in want or step == n_steps:
+                    chain[0] = xs0[j + 1]
+                    check(step)
+                    if step in want:
+                        snapshot(step)
+            xs0[0] = xs0[size]
     return BatchResult(slice_steps, out_x0, out_xbar, out_xfull, xi0, xis, lost, first_abort)

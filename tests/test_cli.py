@@ -403,6 +403,11 @@ class TestRunExperiment:
         assert set(runtimes) == {"w", "checks"}
         assert all(v > 0 for v in runtimes.values())
         assert sum(runtimes.values()) <= manifest["wall_time_s"]
+        # paths times grid steps of each request's simulation: 2 000 paths to t = 1 at dt 0.01
+        assert manifest["path_steps"] == {"w": 2000 * 100}
+        plan = io.StringIO()
+        assert run_experiment(cfg, dry_run=True, stream=plan) == 0
+        assert plan.getvalue().splitlines()[1].endswith(f", {2000 * 100:,} path-steps")
 
 
 class TestDeterminism:

@@ -400,11 +400,12 @@ class TestReferenceKernel:
     LAW = InitialLaw(kind="uniform_annulus", r_min=0.6, r_max=1.4,
                      higher_std=(1.0, 0.5, 0.25, 0.1))
 
-    def _compare(self, law, dim, order, noise, seed=41):
+    def _compare(self, law, dim, order, noise, seed=41, n=None):
+        n = n or self.N
         cfg = SimConfig(dim=dim, order=order, **self.CFG)
         steps = [0, cfg.n_steps // 2, cfg.n_steps]
-        new = simulate_batch(cfg, law, self.N, path_rng(seed, dim), steps, noise=noise)
-        old = reference_kernel.simulate_batch(cfg, law, self.N, path_rng(seed, dim), steps,
+        new = simulate_batch(cfg, law, n, path_rng(seed, dim), steps, noise=noise)
+        old = reference_kernel.simulate_batch(cfg, law, n, path_rng(seed, dim), steps,
                                               noise=noise)
         _assert_same_batch(new, old)
         return new
@@ -416,6 +417,14 @@ class TestReferenceKernel:
         cfg = SimConfig(dim=dim, order=order, **self.CFG)
         assert cfg.n_steps % (DRAW_BLOCK // (self.N * dim)) != 0
         self._compare(self.LAW, dim, order, noise)
+
+    @pytest.mark.parametrize("dim", (8, 9))
+    @pytest.mark.parametrize("noise", ((), NOISE))
+    def test_pairwise_component_sums(self, dim, noise):
+        # from 8 components each row's |x0|^2 and dot products are summed
+        # pairwise, as the row-major kernel sums them; 200 paths draw inline
+        assert 200 * dim < DRAW_AHEAD_WIDTH
+        self._compare(self.LAW, dim, 2, noise, n=200)
 
     @pytest.mark.parametrize("dim", (1, 3))
     def test_blowup_in_one_trajectory(self, dim):
@@ -516,6 +525,12 @@ class TestDrawAhead:
         assert threading.current_thread() not in threads
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("dim", (8, 9))
+    @pytest.mark.parametrize("noise", ((), NOISE))
+    def test_pairwise_component_sums(self, dim, noise):
+        assert 300 * dim >= DRAW_AHEAD_WIDTH
+        self._compare(self.LAW, dim, 2, noise, n=300)
+
     @pytest.mark.parametrize("dim", (1, 3))
     def test_inline_below_the_width(self, dim):
         n, n_steps = 300, SimConfig(dim=dim, order=2, **self.CFG).n_steps
@@ -601,3 +616,99 @@ class TestDrawAhead:
         # the helper was joined before the error left simulate_batch
         assert not rng.threads[-1].is_alive()
         assert threading.active_count() == before
+
+
+class TestBlockEdges:
+    """The exact flow, 1 - |x0|^2 and sqrt(2) dW are computed a block of steps at a time.
+
+    Blocks are DRAW_BLOCK // (n d) steps long; the helper's larger draws
+    are handed out in pieces of that length.  Slices and a chain abort on
+    either side of each kind of edge, on both draw paths, against the
+    row-major kernel byte for byte.
+    """
+
+    CFG = TestReferenceKernel.CFG
+    LAW = TestReferenceKernel.LAW
+    # inline at 300 and 2 x 300 doubles a step, on the helper at 2 100
+    SHAPES = ((300, 1), (300, 3), (2100, 1), (700, 3))
+
+    def _compare(self, law, n, dim, order, noise, make_rng):
+        cfg = SimConfig(dim=dim, order=order, **self.CFG)
+        length = DRAW_BLOCK // (n * dim)
+        drawn = length if n * dim < DRAW_AHEAD_WIDTH else DRAW_AHEAD_BLOCK // (n * dim)
+        assert cfg.n_steps % length and cfg.n_steps % drawn and cfg.n_steps > 2 * drawn + 1
+        # the last step of a block and the first of the next, at the first
+        # two hand-out edges and at the first edge of a draw
+        steps = [0, length, length + 1, 2 * length, 2 * length + 1, drawn, drawn + 1,
+                 cfg.n_steps]
+        rng, ref_rng = make_rng(), make_rng()
+        new = simulate_batch(cfg, law, n, rng, steps, noise=noise)
+        old = reference_kernel.simulate_batch(cfg, law, n, ref_rng, steps, noise=noise)
+        _assert_same_batch(new, old)
+        assert rng.standard_normal(5).tobytes() == ref_rng.standard_normal(5).tobytes()
+        return new, length
+
+    @pytest.mark.parametrize("n, dim", SHAPES)
+    @pytest.mark.parametrize("noise", ((), (0.05, 0.01)))
+    def test_slices_at_block_edges(self, n, dim, noise):
+        self._compare(self.LAW, n, dim, 3, noise, lambda: path_rng(49, dim))
+
+    @pytest.mark.parametrize("n, dim", SHAPES)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_chain_abort_before_a_block_edge(self, n, dim):
+        law = ChainBlowup(kind="uniform_annulus", r_min=0.6, r_max=1.4, higher_std=(1.0,))
+        res, length = self._compare(law, n, dim, 2, (0.05,), lambda: path_rng(50, dim))
+        # flagged at the first check, no later than the first block's last
+        # step; the later blocks step the frozen path from a finite flow
+        assert res.first_abort[0] <= length and res.first_abort[1] == "xbar1"
+        for key in (None, 0.05):
+            assert np.flatnonzero(res.lost[key]).tolist() == [0]
+        assert np.isnan(res.xbar_at(length + 1, 2)[0]).all()
+        assert np.isnan(res.x0[length + 1][0]).all() and np.isfinite(res.x0[length + 1][1:]).all()
+
+    @pytest.mark.parametrize("n, dim", SHAPES)
+    def test_zero_noise(self, n, dim):
+        law = InitialLaw(kind="deterministic_point", point=(0.6,) + (0.0,) * (dim - 1),
+                         higher_std=(0.5,))
+        self._compare(law, n, dim, 2, (0.1,), ZeroNormals)
+
+
+class _HugeTangent(InitialLaw):
+    """xi_1 = 1e308 e_2 on paths 0 and 1: finite, but their total overflows."""
+
+    def sample(self, rng, n, dim, order):
+        xi0, xis = super().sample(rng, n, dim, order)
+        xis[0][:2] = (0.0, 1e308)
+        return xi0, xis
+
+
+class TestFiniteCheck:
+    """While no path is lost, one finite total stands for the per-path check."""
+
+    def test_total_settles_the_common_case(self):
+        assert hierarchy._all_finite(np.ones((3, 2, 5)))
+        assert hierarchy._all_finite(np.empty((0, 2, 5)))
+        for bad in (np.inf, -np.inf, np.nan):
+            a = np.ones((3, 2, 5))
+            a[1, 0, 2] = bad
+            assert not hierarchy._all_finite(a)
+
+    def test_overflowing_total_falls_back_to_the_entries(self):
+        a = np.ones((3, 2, 5))
+        a[0, 1, 0] = a[2, 1, 4] = 1e308
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.add.reduce(a, None))
+            assert hierarchy._all_finite(a)
+
+    @pytest.mark.parametrize("n", (300, 1100))
+    def test_overflowing_state_flags_nothing(self, n):
+        # at x0 = e_1 the e_2 component of Xbar_1 moves by Brownian increments
+        # only, so both paths hold about 1e308 to the end
+        law = _HugeTangent(kind="deterministic_point", point=(1.0, 0.0), higher_std=(1.0,))
+        cfg = SimConfig(dim=2, order=1, **TestReferenceKernel.CFG)
+        new = simulate_batch(cfg, law, n, path_rng(51, 0), [cfg.n_steps], noise=())
+        old = reference_kernel.simulate_batch(cfg, law, n, path_rng(51, 0), [cfg.n_steps],
+                                              noise=())
+        _assert_same_batch(new, old)
+        assert new.first_abort is None and not new.lost[None].any()
+        assert (new.xbar_at(cfg.n_steps, 1)[:2, 1] > 1e307).all()
